@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the engine's performance-only design choices.
 
 Each ablation toggles one optimization and measures the same workload:
 

@@ -4,18 +4,17 @@ Each round applies a one-node PUL (insert / delete / rename) to an
 XMark document and immediately runs a path probe — the
 update-then-query cycle an update-capable peer serves under write
 traffic.  The incremental path (gapped order keys, subtree re-encode,
-in-place StructuralIndex patching) is measured against the ablation
-baseline (dense ``stride=1`` keys, ``apply_updates(incremental=False)``:
-full ``reencode_tree`` + stale-flag → full index rebuild on the next
-probe).  Probe outputs must be byte-identical in both modes; the
-incremental path must win by ≥ 10x on single-node updates at the
-largest scale.
+in-place StructuralIndex patching) is measured against the
+full-reencode reference (``apply_updates(incremental=False)``: full
+``reencode_tree`` + stale-flag → full index rebuild on the next probe).
+Probe outputs must be byte-identical in both modes; the incremental
+path must win by ≥ 10x on single-node updates at the largest scale.
 
-Run standalone (CI uploads the JSON):
+Run standalone with pytest (CI uploads the ``--benchmark-json`` output
+named after this file):
 
-    PYTHONPATH=src python -m pytest -q -rA \
-        benchmarks/bench_incremental_updates.py \
-        --benchmark-json=BENCH_incremental_updates.json
+    PYTHONPATH=src python -m pytest -q -rA <this file> \
+        --benchmark-json=BENCH.json
 """
 
 import time
@@ -26,6 +25,7 @@ from repro.workloads.xmark import XMarkConfig, generate_auctions
 from repro.xdm.nodes import NodeFactory
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
+from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquf.pul import (
     DeleteNode,
@@ -80,9 +80,8 @@ class _Workload:
     def __init__(self, scale: str, mix: str, incremental: bool) -> None:
         self.mix = mix
         self.incremental = incremental
-        stride = None if incremental else 1
         self.document = parse_document(generate_auctions(SCALES[scale]),
-                                       uri="auctions.xml", stride=stride)
+                                       uri="auctions.xml")
         self.resolver = {"auctions.xml": self.document}.get
         self.probe = CompiledQuery(PROBE, None)
         self.run_probe()  # prime: structural index + tag partitions
@@ -95,8 +94,8 @@ class _Workload:
         self.outputs: list = []
 
     def run_probe(self) -> str:
-        result, _ = self.probe.execute(doc_resolver=self.resolver,
-                                       accelerator=True)
+        result, _ = self.probe.run(
+            ExecutionContext(doc_resolver=self.resolver))
         return serialize_sequence(result)
 
     def run_rounds(self) -> float:

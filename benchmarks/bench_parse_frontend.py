@@ -1,8 +1,8 @@
-"""Benchmark: the expat parse frontend vs the pure-python reference.
+"""Benchmark: the expat parse frontend vs the pure-python fallback parser.
 
-Cold ``parse_document`` of XMark documents — the bulk-ingest /
-message-treebuild pass ROADMAP names the dominant message-path cost.
-Both backends are timed on identical input; the expat backend must win
+Cold parses of XMark documents — the bulk-ingest / message-treebuild
+pass ROADMAP names the dominant message-path cost.  Both parsers are
+timed on identical input; the expat frontend must win
 by >= 5x at the largest scale while producing a byte-identical encoding
 (pre/size/level planes and gapped order keys are asserted per run).
 The serializer's wire fast path is measured alongside on the same
@@ -26,7 +26,8 @@ from repro.xdm.nodes import (
     ProcessingInstructionNode,
     TextNode,
 )
-from repro.xml.parser import parse_document
+from repro.xml.expat_parser import parse_document_expat
+from repro.xml.parser import parse_document, parse_document_python
 from repro.xml.serializer import serialize
 
 SCALES = {
@@ -40,7 +41,7 @@ BASELINE_RUNS = 3
 
 def encoding_plane(document):
     """The full structural encoding: (kind, serial, size, level) rows in
-    document order, attributes included — byte-identical across backends
+    document order, attributes included — byte-identical across parsers
     means these (and names/values) match exactly."""
     rows = []
     stack = [document]
@@ -69,16 +70,14 @@ def test_cold_parse_speedup(benchmark, report, scale):
     python_doc = None
     for _ in range(BASELINE_RUNS):
         started = time.perf_counter()
-        python_doc = parse_document(text, uri="auctions.xml",
-                                    backend="python")
+        python_doc = parse_document_python(text, uri="auctions.xml")
         baseline_seconds = min(baseline_seconds,
                                time.perf_counter() - started)
 
     expat_docs = []
 
     def parse_expat():
-        document = parse_document(text, uri="auctions.xml",
-                                  backend="expat")
+        document = parse_document_expat(text, uri="auctions.xml")
         expat_docs.append(document)
         return document
 

@@ -25,7 +25,8 @@ from repro.pathfinder import LoopLiftedQuery
 from repro.workloads.xmark import XMarkConfig, generate_auctions, generate_persons
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
-from repro.xquery.evaluator import evaluate_query
+from repro.xquery.context import ExecutionContext
+from repro.xquery.evaluator import CompiledQuery
 
 SCALES = {
     "sf-small": XMarkConfig(persons=25, closed_auctions=120, open_auctions=12),
@@ -73,8 +74,8 @@ def _timed_lifted(query: str, resolver) -> tuple[float, list]:
 def _timed_interpreter(query: str, resolver,
                        accelerator: bool) -> tuple[float, list]:
     started = time.perf_counter()
-    result = evaluate_query(query, doc_resolver=resolver,
-                            accelerator=accelerator)
+    result, _ = CompiledQuery(query).run(ExecutionContext(
+        doc_resolver=resolver, accelerator=accelerator))
     return time.perf_counter() - started, result
 
 

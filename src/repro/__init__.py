@@ -12,11 +12,9 @@ Public API highlights:
 * :class:`repro.net.SimulatedNetwork` / :class:`repro.net.HttpTransport`
   — interchangeable transports.
 * :class:`repro.wrapper.XRPCWrapper` — serve XRPC with any XQuery engine.
-* :func:`repro.xquery.evaluate_query` — the standalone XQuery engine
-  (deprecated shim over the session API).
 * :mod:`repro.experiments` — harnesses regenerating the paper's tables.
 
-See README.md for a guided tour and DESIGN.md for the system inventory.
+See README.md for a guided tour.
 """
 
 __version__ = "1.0.0"

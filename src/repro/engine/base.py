@@ -47,7 +47,7 @@ class Explain:
     delta discipline over :data:`~repro.xml.stats.PARSE_STATS`: how many
     documents the parse frontend built during this execution (fn:doc on
     cold URIs, shipped Bulk RPC messages) and how many of those fell
-    back from expat to the pure-python reference parser.
+    back from expat to the pure-python parser.
 
     ``postings_built`` / ``postings_patched`` / ``search_queries`` /
     ``postings_hits`` are the keyword-search deltas
@@ -194,15 +194,6 @@ class Engine:
         self._cache_lock = threading.Lock()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Wall-clock phase timers of the most recent compile (Table 3).
-        self.last_compile_seconds = 0.0
-        self.last_compile_cache_hit = False
-        # Telemetry of the most recent execute call: which plan ran
-        # ("lifted" | "interpreter") and, on fallback, the uniform
-        # UnsupportedExpression message naming the offending AST node.
-        self.last_plan: Optional[str] = None
-        self.last_fallback_reason: Optional[str] = None
-        self.last_fallback_code: Optional[str] = None
         # Per-reason fallback histogram (stable UnsupportedExpression
         # codes -> count), so retired fallbacks are visible one by one.
         self._fallback_counts: dict[str, int] = {}
@@ -217,9 +208,7 @@ class Engine:
         ``(compiled, compile_seconds, cache_hit)``.
 
         The stats come back as return values so concurrent compiles
-        cannot report each other's numbers — the ``last_compile_*``
-        attributes are kept for legacy callers but are last-writer-wins
-        under concurrency.
+        cannot report each other's numbers.
         """
         if self.plan_cache_enabled:
             with self._cache_lock:
@@ -227,15 +216,11 @@ class Engine:
                 if cached is not None:
                     self._plan_cache.move_to_end(source)
                     self.plan_cache_hits += 1
-                    self.last_compile_seconds = 0.0
-                    self.last_compile_cache_hit = True
                     return cached, 0.0, True
                 self.plan_cache_misses += 1
         started = time.perf_counter()
         compiled = CompiledQuery(source, self.registry)
         compile_seconds = time.perf_counter() - started
-        self.last_compile_seconds = compile_seconds
-        self.last_compile_cache_hit = False
         if self.plan_cache_enabled:
             with self._cache_lock:
                 self._plan_cache[source] = compiled
@@ -265,22 +250,17 @@ class Engine:
         ``context.xrpc_handler`` serves ``execute at`` on the
         interpreter fallback (the two layers' contracts differ, see
         :class:`~repro.xquery.context.RemoteCall`).  The attempt and its
-        outcome are recorded in ``last_plan`` / ``last_fallback_reason``
-        and returned as the :class:`Explain`.
+        outcome are returned as the :class:`Explain`.
         """
         from repro.net.retry import NET_STATS
         from repro.search.stats import SEARCH_STATS
         from repro.xdm.structural import ENCODING_STATS
         from repro.xml.stats import PARSE_STATS
 
-        # A missing context inherits the engine's own configuration
-        # (the ablation toggles execute_lifted always honored).
+        # A missing context inherits the engine's own configuration.
         options = context if context is not None else ExecutionContext(
             accelerator=self.accelerator,
             optimize_joins=self.optimize_flwor_joins)
-        self.last_plan = None
-        self.last_fallback_reason = None
-        self.last_fallback_code = None
         compiled, compile_seconds, cache_hit = self.compile_with_stats(source)
         analysis = self.analyze(compiled, options)
         started = time.perf_counter()
@@ -340,7 +320,7 @@ class Engine:
         result, pul = compiled.run(options)
         if pul and options.apply_updates:
             from repro.xquf.pul import apply_updates
-            apply_updates(pul, incremental=options.incremental_updates)
+            apply_updates(pul)
         return result, Explain(
             plan="interpreter", fallback_reason=fallback_reason,
             compile_seconds=compile_seconds,
@@ -384,33 +364,14 @@ class Engine:
 
     def record_plan(self, plan: str, fallback_reason: Optional[str],
                     fallback_code: Optional[str] = None) -> None:
-        """Record the most recent plan choice (legacy last-* telemetry;
-        the returned :class:`Explain` is the race-free surface) and bump
-        the per-code fallback histogram when an attempt bailed."""
-        self.last_plan = plan
-        self.last_fallback_reason = fallback_reason
-        self.last_fallback_code = fallback_code
+        """Count one plan choice: bump the per-code fallback histogram
+        when a lifted attempt bailed (the per-execution outcome travels
+        in :class:`Explain` / ``QueryResult``)."""
         if plan == "interpreter" and fallback_reason is not None:
             code = fallback_code or "uncoded"
             with self._cache_lock:
                 self._fallback_counts[code] = \
                     self._fallback_counts.get(code, 0) + 1
-
-    # -- deprecated keyword-style entry point -------------------------------
-
-    def execute_lifted(self, source: str, doc_resolver=None,
-                       variables: Optional[dict] = None,
-                       context_item=None, dispatch=None,
-                       xrpc_handler=None) -> list:
-        """Deprecated shim over :meth:`execute` (the pre-session-API
-        signature); returns the bare result sequence."""
-        result, _ = self.execute(source, ExecutionContext(
-            doc_resolver=doc_resolver, variables=variables,
-            context_item=context_item, dispatch=dispatch,
-            xrpc_handler=xrpc_handler,
-            optimize_joins=self.optimize_flwor_joins,
-            accelerator=self.accelerator))
-        return result
 
     # -- function cache (server-side plan cache per remote function) -------
 

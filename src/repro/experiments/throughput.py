@@ -80,7 +80,7 @@ class ThroughputExperiment:
             origin.execute_query(self._payload_query(direction))
             network.reset_stats()
             started = network.clock.now()
-            origin.execute_query(self._payload_query(direction))
+            result = origin.execute_query(self._payload_query(direction))
             seconds = network.clock.now() - started
         else:
             network = SimulatedNetwork()  # zero-cost in-process channel
@@ -88,14 +88,14 @@ class ThroughputExperiment:
             origin, server = _make_pair(network)
             network.reset_stats()
             started = time.perf_counter()
-            origin.execute_query(self._payload_query(direction))
+            result = origin.execute_query(self._payload_query(direction))
             seconds = time.perf_counter() - started
         # Both payload queries are outside the lifted core (element
         # construction / fn:count), so the unified pipeline must have
         # fallen back with a recorded reason — assert the telemetry so
         # the shape can't silently change.
-        assert origin.engine.last_plan == "interpreter"
-        assert origin.engine.last_fallback_reason is not None
+        assert result.plan == "interpreter"
+        assert result.fallback_reason is not None
         payload = network.bytes_sent if direction == "request" \
             else network.bytes_received
         return ThroughputRow(

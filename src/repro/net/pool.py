@@ -10,9 +10,9 @@ HTTP transport:
   peer address, checked out/in under a lock, with per-peer
   :class:`PeerStats` counters and a one-shot retry when a kept-alive
   connection turns out to be stale;
-* :func:`dispatch_parallel` — per-destination fan-out: requests to
-  distinct destinations run on concurrent threads while requests to the
-  same destination stay sequential (keeping them on one connection).
+* :func:`fan_out` — per-destination fan-out: exchanges with distinct
+  destinations run on concurrent threads while exchanges with the same
+  destination stay sequential (keeping them on one connection).
 """
 
 from __future__ import annotations
@@ -194,66 +194,34 @@ class ConnectionPool:
             connection.close()
 
 
-def group_by_destination(
-        requests: list[tuple[str, str]]) -> dict[str, list[int]]:
-    """Request indexes per destination peer (normalized), input order.
+def group_by_destination(specs: list[ExchangeSpec]) -> dict[str, list[int]]:
+    """Spec indexes per destination peer (normalized), input order.
 
     The single grouping rule both the real thread fan-out and the
     simulated network's virtual-time branches dispatch by.
     """
     branches: dict[str, list[int]] = {}
-    for index, (destination, _) in enumerate(requests):
-        branches.setdefault(normalize_peer_uri(destination), []).append(index)
+    for index, spec in enumerate(specs):
+        branches.setdefault(
+            normalize_peer_uri(spec.destination), []).append(index)
     return branches
 
 
-def dispatch_parallel(send: Callable[[str, str], str],
-                      requests: list[tuple[str, str]]) -> list[str]:
-    """Concurrently dispatch ``(destination, payload)`` pairs.
-
-    Per-destination fan-out: one worker thread per distinct destination
-    peer, each sending its destination's requests sequentially in input
-    order.  Replies come back in input order; the first branch failure
-    propagates to the caller.
-    """
-    if not requests:
-        return []
-    branches = group_by_destination(requests)
-    if len(branches) == 1:
-        return [send(destination, payload)
-                for destination, payload in requests]
-    responses: list = [None] * len(requests)
-
-    def run_branch(indexes: list[int]) -> None:
-        for index in indexes:
-            destination, payload = requests[index]
-            responses[index] = send(destination, payload)
-
-    with ThreadPoolExecutor(max_workers=len(branches)) as executor:
-        futures = [executor.submit(run_branch, indexes)
-                   for indexes in branches.values()]
-        for future in futures:
-            future.result()
-    return responses
-
-
-def dispatch_parallel_captured(
-        exchange: Callable[[ExchangeSpec], str],
-        specs: list[ExchangeSpec]) -> list["str | TransportError"]:
+def fan_out(exchange: Callable[[ExchangeSpec], str],
+            specs: list[ExchangeSpec]) -> list["str | TransportError"]:
     """Per-destination fan-out of specs, capturing per-entry failures.
 
-    Same branch shape as :func:`dispatch_parallel`, but one entry's
-    :class:`TransportError` lands in its own result slot instead of
-    aborting the whole fan-out — the resilience layer above retries or
-    degrades peers independently.  Non-transport exceptions still
+    One worker thread per distinct destination peer, each running its
+    destination's exchanges sequentially in input order (so they share
+    one pooled connection).  Results come back in input order; one
+    entry's :class:`TransportError` lands in its own result slot instead
+    of aborting the whole fan-out — the resilience layer above retries
+    or degrades peers independently.  Non-transport exceptions still
     propagate (they are bugs, not network weather).
     """
     if not specs:
         return []
-    branches: dict[str, list[int]] = {}
-    for index, spec in enumerate(specs):
-        branches.setdefault(
-            normalize_peer_uri(spec.destination), []).append(index)
+    branches = group_by_destination(specs)
     results: list = [None] * len(specs)
 
     def run_branch(indexes: list[int]) -> None:

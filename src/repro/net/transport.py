@@ -52,19 +52,6 @@ class Transport(ABC):
     def send(self, destination: str, payload: str) -> str:
         """Synchronous request/response exchange (HTTP POST semantics)."""
 
-    def send_parallel(self, requests: list[tuple[str, str]]) -> list[str]:
-        """Dispatch several requests "in parallel".
-
-        The paper's implementation dispatches Bulk RPC requests to
-        multiple destination peers concurrently (section 3.2).  The
-        default implementation is sequential; :class:`~repro.net.http.
-        HttpTransport` overrides it with true per-destination thread
-        fan-out and the simulated network charges only the slowest
-        branch's virtual time.
-        """
-        return [self.send(destination, payload)
-                for destination, payload in requests]
-
     def exchange(self, spec: ExchangeSpec) -> str:
         """One exchange with its fault-tolerance contract attached.
 
@@ -80,13 +67,14 @@ class Transport(ABC):
                       specs: list[ExchangeSpec]) -> list[str | TransportError]:
         """Dispatch several exchanges, capturing per-entry failures.
 
-        Unlike :meth:`send_parallel` — where the first branch failure
-        aborts the whole fan-out — every entry runs and the result slot
-        holds either the response string or the ``TransportError`` that
-        branch raised, so the retry/partial-results layer above can
-        treat peers independently.  The default runs sequentially;
-        transports override for true parallelism (HTTP threads) or
-        virtual-time branch overlap (the simulated network).
+        The paper's implementation dispatches Bulk RPC requests to
+        multiple destination peers concurrently (section 3.2).  Every
+        entry runs and its result slot holds either the response string
+        or the ``TransportError`` that branch raised, so the
+        retry/partial-results layer above can treat peers independently.
+        The default runs sequentially; transports override for true
+        parallelism (HTTP threads) or virtual-time branch overlap (the
+        simulated network).
         """
         results: list[str | TransportError] = []
         for spec in specs:

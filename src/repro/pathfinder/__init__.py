@@ -11,13 +11,14 @@ Path expressions over the downward axes compile to relational axis-step
 operators (:mod:`repro.algebra.paths`) — window predicates over the
 structural index's pre/size/level columns — so queries mixing ``execute
 at`` with path steps no longer fall back wholesale to the interpreter.
-:meth:`repro.engine.base.Engine.execute_lifted` provides the
-fallback-with-telemetry entry point.
+:meth:`repro.engine.base.Engine.execute` tries these plans first and
+falls back to the tree interpreter, reporting the outcome in its
+:class:`~repro.engine.base.Explain`.
 
 This module is the faithful, table-level realization of the paper's
-technique; the production query path of :class:`~repro.rpc.XRPCPeer`
-uses an operationally-equivalent batching executor that supports the
-full language (see DESIGN.md).
+technique; :meth:`repro.rpc.XRPCPeer.execute_query` routes multi-site
+and updating queries to an operationally-equivalent batching executor
+that supports the full language.
 """
 
 from repro.pathfinder.compiler import (
@@ -25,7 +26,6 @@ from repro.pathfinder.compiler import (
     LoopLiftedQuery,
     UnsupportedExpression,
     iter_ast_nodes,
-    remote_call_profile,
 )
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "LoopLiftedQuery",
     "UnsupportedExpression",
     "iter_ast_nodes",
-    "remote_call_profile",
 ]

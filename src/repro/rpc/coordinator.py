@@ -7,21 +7,22 @@ provides the coordinator object in that architecture: peers are
 the participating-peer piggyback), then the coordinator drives
 Prepare/Commit — or Rollback on any 'no' vote.
 
-:class:`~repro.rpc.peer.XRPCPeer` embeds this flow inline for the common
-case; the standalone coordinator exists for explicit use and for tests
-that exercise failure paths (participant votes no, late commit, ...).
+It is the one 2PC driver: :meth:`~repro.rpc.peer.XRPCPeer.execute_query`
+runs every updating transaction through it, and tests drive it directly
+for the failure paths (participant votes no, late commit, coordinator
+crash and resume, ...).  Each command is sent through the query's
+:class:`~repro.rpc.client.ClientSession`, so it carries a fresh exchange
+id and the query's remaining deadline and — when the session has a
+resilience channel — is retried under the channel's policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import TransactionError, TransportError
-from repro.net.retry import ResilientChannel
-from repro.net.transport import ExchangeSpec, Transport
-from repro.soap.messages import QueryID, TxnCommand, TxnResult, \
-    build_txn_command, parse_message
+from repro.rpc.client import ClientSession
+from repro.soap.messages import TxnResult
 
 
 @dataclass
@@ -32,21 +33,22 @@ class TransactionOutcome:
 
 
 class TransactionCoordinator:
-    """Drives 2PC for one distributed transaction (one queryID)."""
+    """Drives 2PC for one distributed transaction (one queryID).
 
-    def __init__(self, transport: Transport, query_id: QueryID,
-                 channel: Optional[ResilientChannel] = None) -> None:
-        self.transport = transport
-        self.query_id = query_id
-        self.channel = channel
+    *session* is the transaction's client session; its ``query_id``
+    names the transaction at every participant.
+    """
+
+    def __init__(self, session: ClientSession) -> None:
+        if session.query_id is None:
+            raise TransactionError("2PC requires a session with a queryID")
+        self.session = session
         self._participants: list[str] = []
         self.state = "active"  # active | prepared | committed | aborted
 
     @classmethod
-    def resume(cls, transport: Transport, query_id: QueryID,
-               participants: list[str],
-               channel: Optional[ResilientChannel] = None,
-               ) -> "TransactionCoordinator":
+    def resume(cls, session: ClientSession,
+               participants: list[str]) -> "TransactionCoordinator":
         """Rebuild a coordinator from its durable record after a crash.
 
         A real implementation reads the participant list and the
@@ -56,7 +58,7 @@ class TransactionCoordinator:
         ``rollback`` — both answered idempotently by participants'
         decision logs.
         """
-        coordinator = cls(transport, query_id, channel=channel)
+        coordinator = cls(session)
         coordinator._participants = list(participants)
         coordinator.state = "prepared"
         return coordinator
@@ -73,28 +75,6 @@ class TransactionCoordinator:
     def participants(self) -> list[str]:
         return list(self._participants)
 
-    def _send(self, destination: str, kind: str) -> TxnResult:
-        """One participant operation; these are idempotent server-side,
-        so the resilient channel (when attached) may retry freely."""
-        payload = build_txn_command(TxnCommand(kind, self.query_id))
-        if self.channel is not None:
-            return self.channel.exchange(
-                destination,
-                build=lambda attempt, remaining: payload,
-                parse=lambda raw: self._decode(destination, kind, raw),
-                retry_safe=True)
-        raw = self.transport.exchange(
-            ExchangeSpec(destination, payload, retry_safe=True))
-        return self._decode(destination, kind, raw)
-
-    @staticmethod
-    def _decode(destination: str, kind: str, raw: str) -> TxnResult:
-        reply = parse_message(raw)
-        if not isinstance(reply, TxnResult):
-            raise TransactionError(
-                f"unexpected reply from {destination} to {kind}")
-        return reply
-
     def prepare(self) -> TransactionOutcome:
         """Phase 1: collect votes; abort everyone on the first 'no'.
 
@@ -105,13 +85,14 @@ class TransactionCoordinator:
         prepared: list[str] = []
         for participant in self._participants:
             try:
-                vote = self._send(participant, "prepare")
+                vote = self.session.send_txn_command(participant, "prepare")
             except TransportError as exc:
                 vote = TxnResult(kind="prepare", ok=False,
                                  detail=f"unreachable: {exc}")
             outcome.votes[participant] = vote.ok
             if not vote.ok:
-                outcome.detail = vote.detail
+                outcome.detail = (f"participant {participant} failed at "
+                                  f"prepare: {vote.detail}")
                 for already in prepared:
                     self._try_rollback(already)
                 self.state = "aborted"
@@ -135,17 +116,21 @@ class TransactionCoordinator:
         unreachable = False
         for participant in self._participants:
             try:
-                ack = self._send(participant, "commit")
+                ack = self.session.send_txn_command(participant, "commit")
             except TransportError as exc:
                 unreachable = True
                 outcome.votes[participant] = False
                 outcome.committed = False
-                outcome.detail = f"{participant} unreachable: {exc}"
+                outcome.detail = (
+                    f"participant {participant} unreachable at commit "
+                    f"(decision logged; replay the commit on reconnect): "
+                    f"{exc}")
                 continue
             outcome.votes[participant] = ack.ok
             if not ack.ok:
                 outcome.committed = False
-                outcome.detail = ack.detail
+                outcome.detail = (f"participant {participant} failed at "
+                                  f"commit: {ack.detail}")
         if outcome.committed:
             self.state = "committed"
         elif unreachable:
@@ -162,7 +147,7 @@ class TransactionCoordinator:
     def _try_rollback(self, participant: str) -> None:
         """Best-effort abort; an unreachable peer expires on its own."""
         try:
-            self._send(participant, "rollback")
+            self.session.send_txn_command(participant, "rollback")
         except TransportError:
             pass
 

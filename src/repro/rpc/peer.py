@@ -13,7 +13,8 @@ Originating side highlights:
   message per (destination, function) group, dispatched in parallel to
   distinct peers — exactly the behaviour of Figures 1/2.
 * Updating queries under isolation finish with WS-AtomicTransaction-style
-  2PC over all participating peers (piggybacked on responses).
+  2PC over all participating peers (piggybacked on responses), driven
+  by :class:`~repro.rpc.coordinator.TransactionCoordinator`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.net.retry import (NET_STATS, BreakerRegistry, Deadline, NetEvents,
                              ResilientChannel, RetryPolicy)
 from repro.net.transport import Transport, normalize_peer_uri
 from repro.rpc.client import ClientSession
+from repro.rpc.coordinator import TransactionCoordinator
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.server import XRPCServer
 from repro.rpc.store import DocumentStore
@@ -384,7 +386,16 @@ class XRPCPeer:
 
         committed = False
         if query_id is not None and session.participants:
-            committed = self._finish_transaction(session)
+            # The originating peer plays the WS-Coordinator role
+            # (section 2.3): it knows every participant from the
+            # response piggybacks.  2PC never degrades.
+            coordinator = TransactionCoordinator(session)
+            for participant in session.participants:
+                coordinator.register(participant)
+            outcome = coordinator.run()
+            if not outcome.committed:
+                raise TransactionError(outcome.detail)
+            committed = True
         if pul:
             apply_updates(pul)
             for uri in _touched_uris(pul):
@@ -640,64 +651,6 @@ class XRPCPeer:
             context,
             doc_resolver=self.make_doc_resolver(self.store, session),
             xrpc_handler=replayer.handle))
-
-    # -- 2PC -----------------------------------------------------------------
-
-    def _finish_transaction(self, session: ClientSession) -> bool:
-        """Run Prepare/Commit over all participants; rollback on failure.
-
-        The originating peer plays the WS-Coordinator role (section 2.3):
-        it knows the full participant list from response piggybacks.
-
-        Fault handling follows the presumed-abort discipline: an
-        unreachable participant during prepare counts as a 'no' vote and
-        every prepared peer is rolled back (best effort — an
-        unreachable one will expire its snapshot and abort locally).
-        2PC never degrades: any failure here raises.
-        """
-        participants = list(session.participants)
-        prepared: list[str] = []
-        for participant in participants:
-            try:
-                vote = session.send_txn_command(participant, "prepare")
-            except TransportError as exc:
-                self._abort_prepared(session, prepared)
-                raise TransactionError(
-                    f"participant {participant} unreachable at prepare: "
-                    f"{exc}") from exc
-            if not vote.ok:
-                self._abort_prepared(session, prepared + [participant])
-                raise TransactionError(
-                    f"participant {participant} voted no at prepare: "
-                    f"{vote.detail}")
-            prepared.append(participant)
-        for participant in participants:
-            try:
-                ack = session.send_txn_command(participant, "commit")
-            except TransportError as exc:
-                # The global decision is commit and the participant's
-                # decision log answers replays — re-delivery on
-                # reconnect completes it — but *this* query cannot
-                # claim a full commit.
-                raise TransactionError(
-                    f"participant {participant} unreachable at commit "
-                    f"(decision logged; replay the commit on reconnect): "
-                    f"{exc}") from exc
-            if not ack.ok:
-                raise TransactionError(
-                    f"participant {participant} failed at commit: {ack.detail}")
-        return True
-
-    @staticmethod
-    def _abort_prepared(session: ClientSession,
-                        participants: list[str]) -> None:
-        """Best-effort rollback fan-out; unreachable peers abort on
-        their own when the queryID's snapshot expires."""
-        for participant in participants:
-            try:
-                session.send_txn_command(participant, "rollback")
-            except TransportError:
-                pass
 
 
 # ---------------------------------------------------------------------------

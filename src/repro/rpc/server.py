@@ -42,7 +42,7 @@ class XRPCServer:
     """Request handler bound to one peer.
 
     ``handle`` may be invoked concurrently — the real HTTP daemon is
-    threaded and ``send_parallel`` fans out per destination.  The
+    threaded and ``exchange_many`` fans out per destination.  The
     bookkeeping counters are guarded by ``_stats_lock``; mutations of
     the peer's database state (isolation snapshots, applying pending
     updates, version bumps) are serialized under ``_state_lock``.

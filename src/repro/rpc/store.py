@@ -29,17 +29,14 @@ class DocumentStore:
     # -- registration ------------------------------------------------------
 
     def register(self, uri: str,
-                 content: Union[str, bytes, DocumentNode],
-                 backend: Optional[str] = None) -> DocumentNode:
+                 content: Union[str, bytes, DocumentNode]) -> DocumentNode:
         """Load (or replace) a document; accepts XML text or a parsed tree.
 
         Raw content may be ``str`` or encoded ``bytes`` (decoded per the
-        XML declaration/BOM); ``backend`` selects the parse frontend —
-        cold registration is the bulk-ingest path the expat backend is
-        for.
+        XML declaration/BOM).
         """
         if isinstance(content, (str, bytes)):
-            document = parse_document(content, uri=uri, backend=backend)
+            document = parse_document(content, uri=uri)
         else:
             document = content
             document.uri = document.uri or uri

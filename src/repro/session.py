@@ -117,10 +117,9 @@ class DatabaseStats:
     index_builds: int = 0
     fallback_reasons: dict = field(default_factory=dict)
     #: Parse-frontend telemetry (process-wide
-    #: :data:`~repro.xml.stats.PARSE_STATS` totals): which backend
-    #: parsed how many documents/bytes, and how often the default expat
-    #: backend fell back to the pure-python reference parser.
-    xml_backend: str = "expat"
+    #: :data:`~repro.xml.stats.PARSE_STATS` totals): which parser
+    #: parsed how many documents/bytes, and how often expat rejected
+    #: input that the pure-python fallback parser then took.
     parse_documents_expat: int = 0
     parse_documents_python: int = 0
     parse_bytes_expat: int = 0
@@ -279,21 +278,15 @@ class Database:
     try_lifted:
         Attempt the loop-lifted relational plan before the interpreter
         (the default; ``False`` pins every query to the interpreter).
-    xml_backend:
-        Parse frontend for :meth:`register` — ``"expat"`` (C-speed,
-        the default) or ``"python"`` (the reference ablation).
-        ``None`` defers to ``REPRO_XML_BACKEND`` / the built-in default.
     """
 
     def __init__(self, engine: Optional[Engine] = None,
                  registry: Optional[ModuleRegistry] = None,
-                 try_lifted: bool = True,
-                 xml_backend: Optional[str] = None) -> None:
+                 try_lifted: bool = True) -> None:
         self.engine = engine or Engine(registry=registry)
         self.registry = self.engine.registry
         self.store = DocumentStore()
         self.try_lifted = try_lifted
-        self.xml_backend = xml_backend
         self._stats_lock = threading.Lock()
         self.executions = 0
         self.lifted_executions = 0
@@ -306,7 +299,7 @@ class Database:
         """Load (or replace) a document under *uri*; accepts XML text
         (``str``, or encoded ``bytes`` honouring the declaration/BOM) or
         a parsed tree."""
-        return self.store.register(uri, content, backend=self.xml_backend)
+        return self.store.register(uri, content)
 
     def register_module(self, source: str,
                         location: Optional[str] = None) -> None:
@@ -395,7 +388,6 @@ class Database:
         from repro.net.retry import NET_STATS
         from repro.search.stats import SEARCH_STATS
         from repro.xdm.structural import ENCODING_STATS
-        from repro.xml.parser import default_backend
         from repro.xml.stats import PARSE_STATS
 
         cache = self.engine.cache_stats()
@@ -420,7 +412,6 @@ class Database:
                 index_patches=encoding["index_patches"],
                 index_builds=encoding["index_builds"],
                 fallback_reasons=self.engine.fallback_stats(),
-                xml_backend=self.xml_backend or default_backend(),
                 parse_documents_expat=parse["documents_expat"],
                 parse_documents_python=parse["documents_python"],
                 parse_bytes_expat=parse["bytes_expat"],

@@ -271,16 +271,14 @@ def build_txn_result(result: TxnResult) -> str:
 # Parsing
 
 
-def parse_message(text: Union[str, bytes],
-                  backend: Optional[str] = None) -> Message:
+def parse_message(text: Union[str, bytes]) -> Message:
     """Parse any SOAP XRPC message; dispatch on the body's child.
 
-    ``bytes`` input is handed to the parse frontend as-is (the backend
-    honours the XML declaration's encoding and BOMs); ``backend``
-    selects the parse frontend explicitly (default: expat with python
-    fallback, see :func:`repro.xml.parser.parse_document`).
+    ``bytes`` input is handed to the parse frontend as-is (it honours
+    the XML declaration's encoding and BOMs; see
+    :func:`repro.xml.parser.parse_document`).
     """
-    document = parse_document(text, backend=backend)
+    document = parse_document(text)
     envelope = document.root_element
     if envelope is None or envelope.local_name != "Envelope" \
             or envelope.ns_uri != ENV_NS:
@@ -344,9 +342,8 @@ def _parse_body_element(payload: ElementNode) -> Message:
         "env:Sender", f"unrecognised SOAP body element <{payload.name}>")
 
 
-def parse_request(text: Union[str, bytes],
-                  backend: Optional[str] = None) -> XRPCRequest:
-    message = parse_message(text, backend=backend)
+def parse_request(text: Union[str, bytes]) -> XRPCRequest:
+    message = parse_message(text)
     if isinstance(message, XRPCFaultMessage):
         message.raise_()
     if not isinstance(message, XRPCRequest):
@@ -354,9 +351,8 @@ def parse_request(text: Union[str, bytes],
     return message
 
 
-def parse_response(text: Union[str, bytes],
-                   backend: Optional[str] = None) -> XRPCResponse:
-    message = parse_message(text, backend=backend)
+def parse_response(text: Union[str, bytes]) -> XRPCResponse:
+    message = parse_message(text)
     if isinstance(message, XRPCFaultMessage):
         message.raise_()
     if not isinstance(message, XRPCResponse):

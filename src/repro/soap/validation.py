@@ -14,7 +14,7 @@ with ``env:Sender`` faults before attempting execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from repro.xdm.nodes import DocumentNode, ElementNode, TextNode
 from repro.xdm.types import is_known_type
@@ -45,17 +45,17 @@ class ValidationReport:
 
 
 def validate_message(message: Union[str, bytes, DocumentNode],
-                     backend: Optional[str] = None) -> ValidationReport:
+                     ) -> ValidationReport:
     """Validate a SOAP XRPC message; never raises on invalid content.
 
     Accepts raw text (``str`` or encoded ``bytes``, which the parse
     frontend decodes per XML declaration/BOM) or an already-parsed
-    envelope; ``backend`` selects the parse frontend.
+    envelope.
     """
     report = ValidationReport()
     if isinstance(message, (str, bytes)):
         try:
-            document = parse_document(message, backend=backend)
+            document = parse_document(message)
         except XMLSyntaxError as exc:
             report.error(f"not well-formed XML: {exc}")
             return report

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.engine import Engine, TreeEngine
 from repro.errors import XQueryError, XRPCReproError
+from repro.net.retry import Deadline, ResilientChannel
 from repro.rpc.store import DocumentStore
 from repro.soap.messages import build_fault, parse_request
 from repro.wrapper.codegen import (
@@ -34,6 +35,7 @@ from repro.wrapper.codegen import (
 )
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
+from repro.xquery.context import ExecutionContext
 
 
 @dataclass
@@ -60,19 +62,19 @@ class XRPCWrapper:
     def __init__(self, engine: Optional[Engine] = None,
                  store: Optional[DocumentStore] = None,
                  keep_request_files: bool = False,
-                 transport=None, host: str = "wrapped",
-                 xml_backend: Optional[str] = None) -> None:
+                 transport=None, host: str = "wrapped") -> None:
         self.engine = engine or TreeEngine()
         self.store = store or DocumentStore()
         self.keep_request_files = keep_request_files
-        # Parse frontend for request messages and treebuild rebuilds;
-        # None = the default backend (expat with python fallback).
-        self.xml_backend = xml_backend
         # Optional transport lets fn:doc("xrpc://peer/uri") fetch remote
         # documents (data shipping) — the wrapped Saxon fetched remote
         # documents over plain HTTP the same way.  Outgoing *function*
-        # calls remain impossible, as the paper states.
+        # calls remain impossible, as the paper states.  Fetches run
+        # through a resilience channel like every peer exchange, so
+        # they get retries, breakers and the request's deadline.
         self.transport = transport
+        self.channel = (ResilientChannel(transport)
+                        if transport is not None else None)
         self.host = host
         self.engine.registry.register_source(XQUERY_MARSHAL_MODULE)
         self.last_timings = WrapperTimings()
@@ -91,7 +93,7 @@ class XRPCWrapper:
         cache read the pre-parsed tree from the store.
         """
         self._document_sources[uri] = xml_text
-        self.store.register(uri, xml_text, backend=self.xml_backend)
+        self.store.register(uri, xml_text)
 
     # ------------------------------------------------------------------
 
@@ -110,7 +112,7 @@ class XRPCWrapper:
         return response
 
     def _serve(self, payload: str, timings: WrapperTimings) -> str:
-        request = parse_request(payload, backend=self.xml_backend)
+        request = parse_request(payload)
         timings.calls = len(request.calls)
 
         # 1. Store the request message at a temporary location.
@@ -134,26 +136,30 @@ class XRPCWrapper:
             # Resolver: the request file is parsed on first access
             # ('treebuild'); everything else comes from the store.
             rebuilt: dict[str, object] = {}
+            # Remote fetches spend the caller's remaining budget.
+            deadline = None
+            if self.channel is not None \
+                    and request.deadline_remaining is not None:
+                deadline = Deadline.after(request.deadline_remaining,
+                                          self.channel.clock)
 
             def resolve(uri: str):
                 if uri == request_path:
                     treebuild_started = time.process_time()
                     with open(request_path, encoding="utf-8") as handle:
-                        document = parse_document(handle.read(), uri=uri,
-                                                  backend=self.xml_backend)
+                        document = parse_document(handle.read(), uri=uri)
                     timings.treebuild_seconds += \
                         time.process_time() - treebuild_started
                     return document
                 if uri.startswith("xrpc://"):
-                    return self._fetch_remote(uri)
+                    return self._fetch_remote(uri, deadline)
                 if not self.engine.plan_cache_enabled \
                         and uri in self._document_sources:
                     # Saxon profile: rebuild the data tree per request.
                     if uri not in rebuilt:
                         treebuild_started = time.process_time()
                         rebuilt[uri] = parse_document(
-                            self._document_sources[uri], uri=uri,
-                            backend=self.xml_backend)
+                            self._document_sources[uri], uri=uri)
                         timings.treebuild_seconds += \
                             time.process_time() - treebuild_started
                     return rebuilt[uri]
@@ -162,10 +168,10 @@ class XRPCWrapper:
             # 4. Execute.
             exec_started = time.process_time()
             try:
-                result, _pul = compiled.execute(
+                result, _pul = compiled.run(ExecutionContext(
                     doc_resolver=resolve,
                     optimize_joins=self.engine.optimize_flwor_joins,
-                    accelerator=self.engine.accelerator)
+                    accelerator=self.engine.accelerator))
             except XQueryError as exc:
                 return build_fault("env:Sender", str(exc))
             # Document trees are built lazily during execution; report the
@@ -184,7 +190,7 @@ class XRPCWrapper:
                 except OSError:
                     pass
 
-    def _fetch_remote(self, uri: str):
+    def _fetch_remote(self, uri: str, deadline: Optional[Deadline]):
         """HTTP-style fetch of a remote document for fn:doc()."""
         from repro.errors import XRPCFault
         from repro.net.transport import normalize_peer_uri
@@ -196,7 +202,8 @@ class XRPCWrapper:
                 f"wrapper has no transport to fetch {uri!r}")
         host = normalize_peer_uri(uri)
         path = uri.split(host, 1)[1].lstrip("/")
-        session = ClientSession(self.transport, origin=self.host)
+        session = ClientSession(self.transport, origin=self.host,
+                                channel=self.channel, deadline=deadline)
         [result] = session.call(
             host, "http://monetdb.cwi.nl/XQuery/sys", None, "get-doc", 1,
             [[[make_string(path)]]])

@@ -8,9 +8,7 @@ back to markup.
 """
 
 from repro.xml.parser import (
-    BACKENDS,
     XMLSyntaxError,
-    default_backend,
     parse_document,
     parse_fragment,
 )
@@ -18,9 +16,7 @@ from repro.xml.serializer import serialize, escape_text, escape_attribute
 from repro.xml.stats import PARSE_STATS
 
 __all__ = [
-    "BACKENDS",
     "PARSE_STATS",
-    "default_backend",
     "parse_document",
     "parse_fragment",
     "XMLSyntaxError",

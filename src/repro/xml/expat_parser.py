@@ -5,11 +5,11 @@ Every XRPC request/response body and every cold document registration is
 the message path.  This module rebuilds :mod:`repro.xdm` trees during
 expat's C-level SAX events — minting gapped order keys and stamping
 ``pre``/``size``/``level`` **in the same single pass** as the
-pure-python reference parser (:mod:`repro.xml.parser`), so the
+pure-python fallback parser (:mod:`repro.xml.parser`), so the
 :class:`~repro.xdm.structural.StructuralIndex` and the incremental
-update path see byte-identical encodings regardless of backend.
+update path see byte-identical encodings whichever parser ran.
 
-Contract: for every document inside the supported subset (the reference
+Contract: for every document inside the supported subset (the python
 parser's documented subset), the tree produced here is *indistinguishable*
 from the pure-python parser's — same node kinds in the same document
 order, same lexical QNames and resolved namespace URIs, same
@@ -17,12 +17,12 @@ order, same lexical QNames and resolved namespace URIs, same
 ``size`` extents and ``level`` stamps.  ``tests/test_parse_frontend.py``
 asserts this differentially.
 
-Constructs the reference parser accepts but expat handles differently
+Constructs the python parser accepts but expat handles differently
 (internal-subset markup declarations, entities skipped because of an
 unread external DTD) raise :class:`ExpatUnsupported`; the dispatching
 ``parse_document`` in :mod:`repro.xml.parser` then falls back to the
-pure-python backend, which also re-diagnoses malformed input so error
-messages stay uniform across backends.
+pure-python parser, which also re-diagnoses malformed input so error
+messages stay uniform whichever parser ran.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _NO_DECLARATIONS: dict = {}
 
 
 class ExpatUnsupported(XMLSyntaxError):
-    """The document is outside the expat backend's subset (but possibly
+    """The document is outside the expat frontend's subset (but possibly
     inside the pure-python parser's) — the dispatcher retries there."""
 
 
@@ -72,22 +72,21 @@ class _TreeBuilder:
 
     The handlers are the per-node hot path (one ``StartElementHandler``
     call per element at C speed), so they mint order keys inline —
-    ``serial``/``stride`` arithmetic identical to
+    ``serial``/:data:`~repro.xdm.nodes.KEY_STRIDE` arithmetic identical to
     :class:`~repro.xdm.nodes.NodeFactory` — and wire parent/child links
     directly instead of going through ``append()`` (no structural index
     exists during the parse, so there is nothing to invalidate).
     """
 
-    __slots__ = ("_doc_id", "_stride", "_serial", "_document", "_stack",
+    __slots__ = ("_doc_id", "_serial", "_document", "_stack",
                  "_scope", "_default_uri", "_scope_stack", "_text",
                  "_parser")
 
-    def __init__(self, uri: Optional[str], stride: Optional[int]) -> None:
+    def __init__(self, uri: Optional[str]) -> None:
         self._doc_id = _next_doc_id()
-        self._stride = KEY_STRIDE if stride is None else max(1, stride)
         document = DocumentNode((self._doc_id, 0), uri)
         document.level = 0
-        self._serial = self._stride
+        self._serial = KEY_STRIDE
         self._document = document
         # Open containers, document at the bottom — a new child's level
         # is simply len(stack).  The namespace scope is kept *off* the
@@ -107,7 +106,7 @@ class _TreeBuilder:
         stack = self._stack
         parent = stack[-1]
         doc_id = self._doc_id
-        stride = self._stride
+        stride = KEY_STRIDE
         serial = self._serial
         parts = self._text
         level = len(stack)
@@ -129,7 +128,7 @@ class _TreeBuilder:
         if attrs:
             # xmlns declarations on this element first (they scope the
             # element's own name), then the element, then its attributes
-            # in document order — the exact serial order the reference
+            # in document order — the exact serial order the python
             # parser mints.
             declarations = None
             for index in range(0, len(attrs), 2):
@@ -197,7 +196,7 @@ class _TreeBuilder:
         if parts:
             text = _NEW_TEXT(TextNode)
             text.order_key = (self._doc_id, serial)
-            serial += self._stride
+            serial += KEY_STRIDE
             self._serial = serial
             text.content = "".join(parts)
             text.level = len(stack) + 1
@@ -205,7 +204,7 @@ class _TreeBuilder:
             element._children.append(text)
             del parts[:]
         # Subtree complete: extent reaches the last issued serial.
-        element.size = serial - self._stride - element.order_key[1]
+        element.size = serial - KEY_STRIDE - element.order_key[1]
         scope_stack = self._scope_stack
         if scope_stack and scope_stack[-1][0] == len(stack):
             # This element declared namespaces; restore the outer scope.
@@ -219,7 +218,7 @@ class _TreeBuilder:
             parent = self._stack[-1]
             serial = self._serial
             text = TextNode((self._doc_id, serial), "".join(parts))
-            self._serial = serial + self._stride
+            self._serial = serial + KEY_STRIDE
             text.level = len(self._stack)
             text.parent = parent
             parent._children.append(text)
@@ -230,7 +229,7 @@ class _TreeBuilder:
         parent = self._stack[-1]
         serial = self._serial
         node = CommentNode((self._doc_id, serial), data)
-        self._serial = serial + self._stride
+        self._serial = serial + KEY_STRIDE
         node.level = len(self._stack)
         node.parent = parent
         parent._children.append(node)
@@ -241,14 +240,14 @@ class _TreeBuilder:
         serial = self._serial
         node = ProcessingInstructionNode((self._doc_id, serial), target,
                                          data.strip())
-        self._serial = serial + self._stride
+        self._serial = serial + KEY_STRIDE
         node.level = len(self._stack)
         node.parent = parent
         parent._children.append(node)
 
     def _start_cdata(self) -> None:
         # An empty CDATA section still yields an (empty) text node in
-        # the reference parser; seeding the buffer with "" reproduces
+        # the python parser; seeding the buffer with "" reproduces
         # that, and is a no-op for non-empty sections.
         self._text.append("")
 
@@ -267,14 +266,14 @@ class _TreeBuilder:
         return uri
 
     def _entity_decl(self, *args) -> None:
-        # The reference parser skips internal subsets but rejects
+        # The python parser skips internal subsets but rejects
         # *references* to declared entities; expat would expand them.
         # Bail so the dispatcher's python fallback decides.
         raise self._error("internal-subset entity declaration")
 
     def _attlist_decl(self, *args) -> None:
         # Expat would inject declared default attribute values; the
-        # reference parser ignores the declarations entirely.
+        # python parser ignores the declarations entirely.
         raise self._error("internal-subset attribute-list declaration")
 
     def _skipped_entity(self, name: str, is_parameter: bool) -> None:
@@ -321,13 +320,12 @@ class _TreeBuilder:
             parser.SkippedEntityHandler = None
             parser.ExternalEntityRefHandler = None
         document = self._document
-        document.size = self._serial - self._stride
+        document.size = self._serial - KEY_STRIDE
         return document
 
 
 def parse_document_expat(data: Union[str, bytes],
-                         uri: Optional[str] = None,
-                         stride: Optional[int] = None) -> DocumentNode:
+                         uri: Optional[str] = None) -> DocumentNode:
     """Parse a complete XML document at expat speed.
 
     Accepts ``str`` or ``bytes``; byte input honours the XML
@@ -336,4 +334,4 @@ def parse_document_expat(data: Union[str, bytes],
     malformed input and :class:`ExpatUnsupported` for well-formed
     documents outside the supported subset.
     """
-    return _TreeBuilder(uri, stride).parse(data)
+    return _TreeBuilder(uri).parse(data)

@@ -1,16 +1,16 @@
-"""A small well-formedness-checking XML 1.0 parser, plus the backend
-dispatch of the parse frontend.
+"""A small well-formedness-checking XML 1.0 parser, plus the parse
+frontend's one dispatch rule.
 
 The pure-python parser here produces :mod:`repro.xdm` trees with
 document order and namespace resolution (``xmlns`` / ``xmlns:prefix``
 declarations are tracked and every element/attribute gets its resolved
-namespace URI).  It is the *reference ablation* of the parse frontend:
-:func:`parse_document` routes to the C-speed expat backend
-(:mod:`repro.xml.expat_parser`) by default, falling back to this parser
-for input outside the expat subset — and both backends produce
-byte-identical trees (pre/size/level planes, gapped order keys).  Select
-a backend per call (``backend="expat"|"python"``) or process-wide via
-the ``REPRO_XML_BACKEND`` environment variable.
+namespace URI).  It is the parse frontend's *fallback*:
+:func:`parse_document` tries the C-speed expat frontend
+(:mod:`repro.xml.expat_parser`) first and re-parses here only input that
+expat rejects — malformed documents (so error messages are uniform) and
+well-formed ones outside the expat subset (internal-subset DTDs).  Both
+parsers produce byte-identical trees (pre/size/level planes, gapped
+order keys), so the choice depends on the input alone.
 
 Supported: elements, attributes, text, CDATA, comments, processing
 instructions, character/entity references, the XML declaration, and a
@@ -26,7 +26,6 @@ are exempt from both.
 from __future__ import annotations
 
 import codecs
-import os
 import re
 from typing import Optional, Union
 
@@ -125,13 +124,12 @@ class _Scanner:
 
 
 class _Parser:
-    def __init__(self, text: str, uri: Optional[str],
-                 stride: Optional[int] = None) -> None:
+    def __init__(self, text: str, uri: Optional[str]) -> None:
         if "\r" in text:
             # XML 1.0 §2.11 end-of-line handling (expat does the same).
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         self.scanner = _Scanner(text)
-        self.factory = NodeFactory(stride=stride)
+        self.factory = NodeFactory()
         self.uri = uri
 
     # -- entry points ------------------------------------------------------
@@ -387,8 +385,6 @@ class _Parser:
         return None
 
 
-BACKENDS = ("expat", "python")
-
 _ENCODING_DECL = re.compile(
     rb'^<\?xml[^>]*?encoding\s*=\s*["\']([A-Za-z][A-Za-z0-9._-]*)["\']')
 
@@ -404,7 +400,7 @@ _BOMS = (
 def decode_xml_bytes(data: bytes) -> str:
     """Decode raw XML bytes honouring BOMs and the declared encoding.
 
-    The pure-python backend's counterpart of what expat does natively: a
+    The pure-python parser's counterpart of what expat does natively: a
     BOM wins, then the XML declaration's ``encoding=`` pseudo-attribute
     (resolved through Python's codec registry, so aliases like
     ``latin-1`` work), defaulting to UTF-8.
@@ -421,76 +417,48 @@ def decode_xml_bytes(data: bytes) -> str:
             from None
 
 
-def default_backend() -> str:
-    """The process-wide parse backend: ``REPRO_XML_BACKEND`` when set to
-    a known backend name, else ``"expat"``."""
-    backend = os.environ.get("REPRO_XML_BACKEND", "").strip().lower()
-    return backend if backend in BACKENDS else "expat"
-
-
 def parse_document_python(text: Union[str, bytes],
-                          uri: Optional[str] = None,
-                          stride: Optional[int] = None) -> DocumentNode:
-    """The pure-python reference backend (the parse-frontend ablation)."""
+                          uri: Optional[str] = None) -> DocumentNode:
+    """The pure-python parser, without the expat attempt."""
     if isinstance(text, (bytes, bytearray)):
         text = decode_xml_bytes(bytes(text))
-    return _Parser(text, uri, stride=stride).parse_document()
+    return _Parser(text, uri).parse_document()
 
 
-def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
-                   stride: Optional[int] = None,
-                   backend: Optional[str] = None) -> DocumentNode:
+def parse_document(text: Union[str, bytes],
+                   uri: Optional[str] = None) -> DocumentNode:
     """Parse a complete XML document into an XDM document node.
 
     Parameters
     ----------
     text:
         The XML source — ``str``, or raw ``bytes`` (the declared
-        encoding / BOM is honoured by both backends).
+        encoding / BOM is honoured by both parsers).
     uri:
         Optional document URI recorded on the document node (what
         ``fn:document-uri`` would return).
-    stride:
-        Order-key spacing (defaults to
-        :data:`repro.xdm.nodes.KEY_STRIDE`); ``1`` produces the dense
-        historical encoding — kept as the update-benchmark ablation.
-    backend:
-        ``"expat"`` (C-speed SAX frontend), ``"python"`` (the reference
-        parser), or ``None`` for the default (:func:`default_backend`,
-        i.e. expat unless ``REPRO_XML_BACKEND`` overrides).  Under the
-        default, expat failures — malformed input, or well-formed
-        documents outside the expat subset — are retried on the python
-        backend, so error messages and accepted documents are uniform
-        regardless of backend; an explicitly requested backend never
-        falls back.  Both backends produce byte-identical trees.
+
+    The expat frontend parses first; input it rejects — malformed, or
+    well-formed but outside the expat subset — is re-parsed by the
+    python parser, which accepts the subset's remainder and reports
+    malformed input with uniform ``line``/``column`` messages.
     """
-    explicit = backend is not None
-    if backend is None:
-        backend = default_backend()
-    if backend == "expat":
-        from repro.xml.expat_parser import parse_document_expat
-        try:
-            document = parse_document_expat(text, uri=uri, stride=stride)
-        except Exception:
-            if explicit:
-                raise
-            PARSE_STATS.bump("fallbacks_to_python")
-        else:
-            PARSE_STATS.count_parse("expat", len(text))
-            return document
-    elif backend != "python":
-        raise ValueError(
-            f"unknown XML parse backend {backend!r}; expected one of "
-            f"{BACKENDS}")
-    document = parse_document_python(text, uri=uri, stride=stride)
+    from repro.xml.expat_parser import parse_document_expat
+    try:
+        document = parse_document_expat(text, uri=uri)
+    except Exception:
+        PARSE_STATS.bump("fallbacks_to_python")
+    else:
+        PARSE_STATS.count_parse("expat", len(text))
+        return document
+    document = parse_document_python(text, uri=uri)
     PARSE_STATS.count_parse("python", len(text))
     return document
 
 
-def parse_fragment(text: Union[str, bytes],
-                   backend: Optional[str] = None) -> ElementNode:
+def parse_fragment(text: Union[str, bytes]) -> ElementNode:
     """Parse a single element (fragment); returns the parentless element."""
-    document = parse_document(text, backend=backend)
+    document = parse_document(text)
     root = document.root_element
     if root is None:
         raise XMLSyntaxError("fragment has no element", 1, 1)

@@ -1,9 +1,9 @@
 """Parse-frontend telemetry.
 
 :data:`PARSE_STATS` counts what the message-path parse frontend actually
-did: how many documents (and how many bytes) each backend parsed, and
-how often the default expat backend fell back to the pure-python
-reference parser (malformed input re-diagnosed for uniform error
+did: how many documents (and how many bytes) each parser parsed, and
+how often the expat frontend fell back to the pure-python parser
+(malformed input re-diagnosed for uniform error
 messages, or constructs outside the expat subset such as internal-subset
 markup declarations).
 
@@ -38,10 +38,10 @@ class ParseStats:
         local = self._local.__dict__  # thread-local: no lock needed
         local[field] = local.get(field, 0) + count
 
-    def count_parse(self, backend: str, size: int) -> None:
+    def count_parse(self, parser: str, size: int) -> None:
         """Record one parsed document of *size* bytes/characters."""
-        self.bump(f"documents_{backend}")
-        self.bump(f"bytes_{backend}", size)
+        self.bump(f"documents_{parser}")
+        self.bump(f"bytes_{parser}", size)
 
     def snapshot(self) -> dict[str, int]:
         """Process-wide totals."""

@@ -12,8 +12,9 @@ RPC layer (:mod:`repro.rpc`).
 """
 
 from repro.xquery.parser import parse_main_module, parse_library_module
-from repro.xquery.context import StaticContext, DynamicContext, XRPC_NS, FN_NS, XS_NS
-from repro.xquery.evaluator import Evaluator, evaluate_query
+from repro.xquery.context import (StaticContext, DynamicContext,
+                                  ExecutionContext, XRPC_NS, FN_NS, XS_NS)
+from repro.xquery.evaluator import CompiledQuery, Evaluator
 from repro.xquery.modules import Module, ModuleRegistry
 
 __all__ = [
@@ -21,8 +22,9 @@ __all__ = [
     "parse_library_module",
     "StaticContext",
     "DynamicContext",
+    "ExecutionContext",
+    "CompiledQuery",
     "Evaluator",
-    "evaluate_query",
     "Module",
     "ModuleRegistry",
     "XRPC_NS",

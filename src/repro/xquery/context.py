@@ -63,8 +63,7 @@ class ExecutionContext:
     through :class:`~repro.engine.base.Engine`,
     :class:`~repro.xquery.evaluator.CompiledQuery`,
     :class:`~repro.pathfinder.LoopLiftedQuery` and
-    :class:`~repro.rpc.XRPCPeer`; the old keyword signatures remain as
-    thin shims that build one of these.
+    :class:`~repro.rpc.XRPCPeer`.
 
     The two remote hooks serve the two plan kinds: ``dispatch`` ships a
     lifted plan's Bulk RPC groups (one call per (destination, function)
@@ -100,11 +99,6 @@ class ExecutionContext:
     #: every exchange, so it rides here purely for observability by
     #: other execution hooks.
     deadline: Any = None
-    #: Re-encode only each update's splice region on the gapped
-    #: order-key plane and patch the StructuralIndex in place (O(change)
-    #: updates).  ``False`` restores the full-restamp baseline — the
-    #: update-benchmark ablation.
-    incremental_updates: bool = True
 
 
 class StaticContext:

@@ -476,11 +476,11 @@ def apply_updates(pul: PendingUpdateList, *,
     deletes need no key work, value/rename updates skip restamping
     entirely — and the tree's :class:`StructuralIndex` is patched in
     place (rows spliced, tag partitions shifted, covered value indexes
-    evicted) instead of stale-marked.  ``incremental=False`` restores
-    the historical behaviour — a full
+    evicted) instead of stale-marked.  ``incremental=False`` is the
+    full-reencode reference — a whole-tree
     :func:`~repro.xdm.structural.reencode_tree` per structurally
-    mutated tree plus index stale-marking — and is kept as the
-    benchmark ablation (``bench_incremental_updates``).
+    mutated tree plus index stale-marking — that the equivalence tests
+    and the incremental-update benchmark compare against.
     """
     if not incremental:
         _apply_updates_full(pul)
@@ -496,9 +496,8 @@ def apply_updates(pul: PendingUpdateList, *,
 
 
 def _apply_updates_full(pul: PendingUpdateList) -> None:
-    """The pre-gap update path: apply, then restamp every structurally
-    mutated tree densely and stale-mark its index (the ablation
-    baseline; also exercised by equivalence tests)."""
+    """The full-reencode reference: apply, then restamp every
+    structurally mutated tree (with gaps) and stale-mark its index."""
     from repro.xdm.structural import invalidate_structural_index, reencode_tree
 
     structural = (InsertInto, InsertFirst, InsertLast, InsertBefore,
@@ -528,4 +527,4 @@ def _apply_updates_full(pul: PendingUpdateList) -> None:
     for primitive in deletions:
         primitive.apply()
     for root in mutated_roots.values():
-        reencode_tree(root, stride=1)
+        reencode_tree(root)

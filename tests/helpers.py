@@ -7,8 +7,26 @@ from typing import Optional
 from repro.xdm.atomic import AtomicValue
 from repro.xdm.nodes import Node
 from repro.xml import parse_document
-from repro.xquery.evaluator import evaluate_query
+from repro.xquery.context import ExecutionContext
+from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
+from repro.xquf.pul import apply_updates
+
+
+def interpret(source: str, registry: Optional[ModuleRegistry] = None,
+              apply: bool = True, incremental: bool = True, **context):
+    """Run *source* on the tree interpreter (no lifted attempt).
+
+    ``context`` fills the :class:`ExecutionContext`; pending updates
+    are applied afterwards unless ``apply`` is false, on the
+    incremental path or — with ``incremental=False`` — the
+    full-reencode reference.
+    """
+    result, pul = CompiledQuery(source, registry).run(
+        ExecutionContext(**context))
+    if pul and apply:
+        apply_updates(pul, incremental=incremental)
+    return result
 
 
 def run(source: str, docs: Optional[dict[str, str]] = None,
@@ -19,7 +37,7 @@ def run(source: str, docs: Optional[dict[str, str]] = None,
         registry.register_source(module_source, location=location)
     parsed = {uri: parse_document(text, uri=uri) for uri, text in (docs or {}).items()}
     resolver = parsed.get if docs else None
-    return evaluate_query(source, registry=registry, doc_resolver=resolver, **kwargs)
+    return interpret(source, registry=registry, doc_resolver=resolver, **kwargs)
 
 
 def values(sequence) -> list:
@@ -44,3 +62,17 @@ def xml(sequence) -> str:
 def single_node(sequence) -> Node:
     assert len(sequence) == 1 and isinstance(sequence[0], Node), sequence
     return sequence[0]
+
+
+def densify(document, rounds: int = 3):
+    """Pack *document*'s order keys tighter than the parsers space them.
+
+    Each round inserts a comment before every element below the root
+    element through the incremental update path, bisecting the serial
+    gap in front of it, so keys end up unevenly spaced and a few serials
+    apart.  Returns *document*.
+    """
+    for _ in range(rounds):
+        interpret("for $e in /*//* return insert node comment { 'k' } "
+                  "before $e", context_item=document)
+    return document

@@ -4,14 +4,15 @@ crash between prepare and commit, and decision replay on reconnect."""
 
 import pytest
 
-from repro.errors import TransactionError
+from repro.errors import RetryableTransportError, TransactionError
 from repro.net import SimulatedNetwork
 from repro.net.faults import FaultInjectingTransport, FaultPlan
+from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
 from repro.rpc import TransactionCoordinator, XRPCPeer
 from repro.rpc.client import ClientSession
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.store import DocumentStore
-from repro.soap.messages import QueryID
+from repro.soap.messages import QueryID, TxnCommand, parse_message
 from repro.xdm.atomic import string as make_string
 
 COUNTER_MODULE = """
@@ -49,9 +50,95 @@ def start_updates(network, participants, value="4"):
     return query_id, session
 
 
+def make_coordinator(transport, query_id, participants=None):
+    """A coordinator sending through its own client session; with
+    *participants* it is resumed from a prepared record."""
+    session = ClientSession(transport, origin="p0", query_id=query_id)
+    if participants is None:
+        return TransactionCoordinator(session)
+    return TransactionCoordinator.resume(session, participants)
+
+
 def blackholed(network, *destinations):
     return FaultInjectingTransport(
         network, FaultPlan(blackhole=frozenset(destinations)))
+
+
+class TxnTap(Transport):
+    """Records every 2PC command sent through it; commits bound for
+    *unreachable_at_commit* never arrive (the request is lost before
+    delivery, every attempt)."""
+
+    def __init__(self, inner, unreachable_at_commit=None) -> None:
+        self.inner = inner
+        self.unreachable_at_commit = unreachable_at_commit
+        self.commands: list[tuple[str, str]] = []
+
+    def send(self, destination, payload):
+        return self.exchange(ExchangeSpec(destination, payload))
+
+    def exchange(self, spec):
+        message = parse_message(spec.payload)
+        if isinstance(message, TxnCommand):
+            destination = normalize_peer_uri(spec.destination)
+            self.commands.append((message.kind, destination))
+            if message.kind == "commit" \
+                    and destination == self.unreachable_at_commit:
+                raise RetryableTransportError(
+                    f"commit to {destination!r} lost", request_sent=False)
+        return self.inner.exchange(spec)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def originator(transport):
+    peer = XRPCPeer("p0", transport)
+    peer.registry.register_source(COUNTER_MODULE, location="c.xq")
+    return peer
+
+
+BUMP_EACH = """
+import module namespace c = "urn:counter" at "c.xq";
+declare option xrpc:isolation "repeatable";
+( execute at {"xrpc://p1"} { c:bump("1") },
+  execute at {"xrpc://p2"} { c:bump("2") },
+  execute at {"xrpc://p3"} { c:bump("3") } )
+"""
+
+
+class TestOriginatorCoordinates:
+    def test_commit_reaches_every_reachable_participant(self):
+        # The originator's 2PC runs through TransactionCoordinator: a
+        # participant unreachable at commit must not stop the decision
+        # from reaching the others.
+        network = SimulatedNetwork()
+        p0 = originator(TxnTap(network, unreachable_at_commit="p1"))
+        p1, p2, p3 = (txn_peer(network, name) for name in ("p1", "p2", "p3"))
+        with pytest.raises(TransactionError, match="p1 unreachable at commit"):
+            p0.execute_query(BUMP_EACH)
+        assert journal(p1) == ["prepare"]
+        assert counter(p1) == "0"
+        assert journal(p2) == ["prepare", "commit"]
+        assert counter(p2) == "2"
+        assert journal(p3) == ["prepare", "commit"]
+        assert counter(p3) == "3"
+
+    def test_two_participant_commit_sends_four_commands(self):
+        network = SimulatedNetwork()
+        tap = TxnTap(network)
+        p0 = originator(tap)
+        p1, p2 = txn_peer(network, "p1"), txn_peer(network, "p2")
+        result = p0.execute_query("""
+        import module namespace c = "urn:counter" at "c.xq";
+        declare option xrpc:isolation "repeatable";
+        ( execute at {"xrpc://p1"} { c:bump("1") },
+          execute at {"xrpc://p2"} { c:bump("2") },
+          execute at {"xrpc://p1"} { c:bump("1") } )""")
+        assert result.committed_2pc
+        assert tap.commands == [("prepare", "p1"), ("prepare", "p2"),
+                                ("commit", "p1"), ("commit", "p2")]
+        assert counter(p1) == "1" and counter(p2) == "2"
 
 
 class TestPrepareFailures:
@@ -63,8 +150,7 @@ class TestPrepareFailures:
         query_id, _ = start_updates(network, ["p1", "p2"])
 
         # p2 stops answering before phase 1.
-        coordinator = TransactionCoordinator(blackholed(network, "p2"),
-                                             query_id)
+        coordinator = make_coordinator(blackholed(network, "p2"), query_id)
         coordinator.register("p1")
         coordinator.register("p2")
         outcome = coordinator.run()
@@ -84,8 +170,7 @@ class TestPrepareFailures:
         txn_peer(network, "p0")
         p1 = txn_peer(network, "p1")
         query_id, _ = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(blackholed(network, "p1"),
-                                             query_id)
+        coordinator = make_coordinator(blackholed(network, "p1"), query_id)
         coordinator.register("p1")
         outcome = coordinator.run()
         assert not outcome.committed
@@ -100,13 +185,13 @@ class TestCoordinatorCrashRecovery:
         p1 = txn_peer(network, "p1")
         query_id, _ = start_updates(network, ["p1"])
 
-        first = TransactionCoordinator(network, query_id)
+        first = make_coordinator(network, query_id)
         first.register("p1")
         assert first.prepare().votes == {"p1": True}
         assert first.state == "prepared"
         del first  # coordinator crashes holding the prepared mark
 
-        resumed = TransactionCoordinator.resume(network, query_id, ["p1"])
+        resumed = make_coordinator(network, query_id, ["p1"])
         outcome = resumed.commit()
         assert outcome.committed
         assert resumed.state == "committed"
@@ -118,14 +203,14 @@ class TestCoordinatorCrashRecovery:
         txn_peer(network, "p0")
         p1 = txn_peer(network, "p1")
         query_id, _ = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = make_coordinator(network, query_id)
         coordinator.register("p1")
         assert coordinator.run().committed
 
         # The commit decision arrives again (the ack was lost): the
         # participant re-acknowledges from its decision log without
         # applying anything a second time.
-        replay = TransactionCoordinator.resume(network, query_id, ["p1"])
+        replay = make_coordinator(network, query_id, ["p1"])
         outcome = replay.commit()
         assert outcome.committed
         assert counter(p1) == "4"
@@ -137,14 +222,14 @@ class TestCoordinatorCrashRecovery:
         p1 = txn_peer(network, "p1")
         p2 = txn_peer(network, "p2")
         query_id, _ = start_updates(network, ["p1", "p2"])
-        prepare_side = TransactionCoordinator(network, query_id)
+        prepare_side = make_coordinator(network, query_id)
         prepare_side.register("p1")
         prepare_side.register("p2")
         assert prepare_side.prepare().votes == {"p1": True, "p2": True}
 
         # The decision is COMMIT; p2 is unreachable when it lands.
-        deciding = TransactionCoordinator.resume(blackholed(network, "p2"),
-                                                 query_id, ["p1", "p2"])
+        deciding = make_coordinator(blackholed(network, "p2"),
+                                    query_id, ["p1", "p2"])
         outcome = deciding.commit()
         assert not outcome.committed
         assert outcome.votes == {"p1": True, "p2": False}
@@ -154,8 +239,7 @@ class TestCoordinatorCrashRecovery:
 
         # Reconnect: replaying the decision completes the transaction
         # and p1 (already committed) answers from its decision log.
-        recovered = TransactionCoordinator.resume(network, query_id,
-                                                  ["p1", "p2"])
+        recovered = make_coordinator(network, query_id, ["p1", "p2"])
         outcome = recovered.commit()
         assert outcome.committed
         assert recovered.state == "committed"
@@ -171,7 +255,7 @@ class TestDecisionLog:
         txn_peer(network, "p0")
         txn_peer(network, "p1")
         query_id, session = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = make_coordinator(network, query_id)
         coordinator.register("p1")
         assert coordinator.run().committed
 
@@ -184,7 +268,7 @@ class TestDecisionLog:
         txn_peer(network, "p0")
         p1 = txn_peer(network, "p1")
         query_id, session = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = make_coordinator(network, query_id)
         coordinator.register("p1")
         coordinator.rollback()
 

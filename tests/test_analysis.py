@@ -272,9 +272,8 @@ class TestSiteProfile:
         assert properties.updating
 
     def test_sites_through_local_function_closure(self):
-        # The old remote_call_profile only scanned the top-level body;
-        # the analyzer counts sites reached through locally-called
-        # functions too.
+        # The analyzer counts sites reached through locally-called
+        # functions too, not only those in the top-level body.
         source = f"""
         import module namespace f = "films" at "{FILM_LOCATION}";
         declare function local:go($a) {{

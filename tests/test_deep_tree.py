@@ -35,7 +35,7 @@ def build_spine(depth: int = DEPTH) -> tuple:
     current.append(factory.text("leaf", level=depth + 1))
     # Single-spine tree: every element's subtree extends to the last
     # serial issued, so the parse-style size stamp is closed-form
-    # (serial units — serials are gapped by the factory stride).
+    # (serial units — serials are gapped by KEY_STRIDE).
     root.size = factory.last_serial - root.order_key[1]
     for node in root.descendants():
         if node.children:

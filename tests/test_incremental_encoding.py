@@ -22,7 +22,7 @@ from repro.xdm.structural import (
 )
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
-from repro.xquery.evaluator import evaluate_query
+from tests.helpers import interpret
 
 SITE = """
 <site>
@@ -39,13 +39,13 @@ SITE = """
 """
 
 
-def _store(stride=None):
-    doc = parse_document(SITE, uri="s.xml", stride=stride)
+def _store():
+    doc = parse_document(SITE, uri="s.xml")
     return doc, {"s.xml": doc}.get
 
 
 def _update(resolver, query, **kwargs):
-    return evaluate_query(query, doc_resolver=resolver, **kwargs)
+    return interpret(query, doc_resolver=resolver, **kwargs)
 
 
 def assert_index_matches_rebuild(root):
@@ -153,7 +153,7 @@ class TestGapMinting:
                 "into doc('s.xml')//person[1]")
         # Attributes sort after their element, before its children —
         # //@* pools attributes across elements through document order.
-        result = evaluate_query("doc('s.xml')//@*", doc_resolver=resolver)
+        result = interpret("doc('s.xml')//@*", doc_resolver=resolver)
         assert [a.value for a in result] == \
             ["p0", "36", "p1", "p2", "p0", "p1"]
         assert_keys_monotone(doc)
@@ -213,23 +213,23 @@ class TestValueOnlyUpdates:
         doc, resolver = _store()
         probe = "doc('s.xml')//person[@id = 'p1']/name"
         assert serialize_sequence(
-            evaluate_query(probe, doc_resolver=resolver)) == \
+            interpret(probe, doc_resolver=resolver)) == \
             "<name>Grace</name>"
         _update(resolver,
                 "replace value of node doc('s.xml')//person[2]/@id "
                 "with 'p1b'")
-        assert evaluate_query(probe, doc_resolver=resolver) == []
-        assert serialize_sequence(evaluate_query(
+        assert interpret(probe, doc_resolver=resolver) == []
+        assert serialize_sequence(interpret(
             "doc('s.xml')//person[@id = 'p1b']/name",
             doc_resolver=resolver)) == "<name>Grace</name>"
 
     def test_unrelated_value_indexes_survive_patches(self):
         doc, resolver = _store()
         # Build two value indexes under disjoint anchors.
-        evaluate_query("doc('s.xml')/site/people/person[@id = 'p0']",
-                       doc_resolver=resolver)
-        evaluate_query("doc('s.xml')/site/auctions/auction[price = '12']",
-                       doc_resolver=resolver)
+        interpret("doc('s.xml')/site/people/person[@id = 'p0']",
+                  doc_resolver=resolver)
+        interpret("doc('s.xml')/site/auctions/auction[price = '12']",
+                  doc_resolver=resolver)
         index = doc._sidx
         assert index is not None and len(index.value_indexes) == 2
         # A value change inside people must evict only the people probe.
@@ -298,17 +298,20 @@ class TestIndexPatching:
                 structural_index(doc)
             _update(resolver, update)
             outputs.append([serialize_sequence(
-                evaluate_query(q, doc_resolver=resolver)) for q in queries])
+                interpret(q, doc_resolver=resolver)) for q in queries])
         assert outputs[0] == outputs[1]
 
 
 class TestGapExhaustion:
     def test_dense_document_respreads_or_reencodes(self):
-        doc, resolver = _store(stride=1)  # no gaps anywhere
+        doc, resolver = _store()
         before = ENCODING_STATS.snapshot()
-        _update(resolver,
-                "insert node <person id='pX'/> "
-                "before doc('s.xml')//person[2]")
+        # Each insert bisects the gap before person[2] (the previous
+        # insert); KEY_STRIDE of them leave the region dense.
+        for index in range(KEY_STRIDE):
+            _update(resolver,
+                    f"insert node <person id='pX{index}'/> "
+                    "before doc('s.xml')//person[2]")
         after = ENCODING_STATS.snapshot()
         assert (after["gap_respreads"] > before["gap_respreads"]
                 or after["reencodes_full"] > before["reencodes_full"])
@@ -317,25 +320,29 @@ class TestGapExhaustion:
 
     def test_exhausted_gap_recovers_and_stays_queryable(self):
         doc, resolver = _store()
-        # Hammer one gap far beyond its stride capacity.
+        # Hammer one gap far beyond its KEY_STRIDE capacity.
         for index in range(2 * KEY_STRIDE):
             _update(resolver,
                     f"insert node <extra n='{index}'/> "
                     "after doc('s.xml')//person[1]")
         assert_keys_monotone(doc)
         assert_windows_cover_subtrees(doc)
-        result = evaluate_query("count(doc('s.xml')//extra)",
-                                doc_resolver=resolver)
+        result = interpret("count(doc('s.xml')//extra)",
+                           doc_resolver=resolver)
         assert result[0].value == 2 * KEY_STRIDE
         if doc._sidx is not None and not doc._sidx.stale:
             assert_index_matches_rebuild(doc)
 
     def test_full_fallback_restores_gaps(self):
-        doc, resolver = _store(stride=1)
+        doc, resolver = _store()
+        before = ENCODING_STATS.snapshot()
         _update(resolver,
                 "insert node <person id='pX'/> "
-                "before doc('s.xml')//person[2]")
-        # After recovery, the next small insert is O(change) again.
+                "before doc('s.xml')//person[2]", incremental=False)
+        assert ENCODING_STATS.snapshot()["reencodes_full"] \
+            > before["reencodes_full"]
+        # The full restamp leaves gaps, so the next small insert is
+        # O(change) again.
         before = ENCODING_STATS.snapshot()
         _update(resolver,
                 "insert node <person id='pY'/> "
@@ -352,8 +359,8 @@ class TestDetachedRekey:
         # under a fresh doc id, or a held reference would compare as the
         # same document position as a distinct live node.
         doc, resolver = _store()
-        [detached] = evaluate_query("doc('s.xml')//person[2]",
-                                    doc_resolver=resolver)
+        [detached] = interpret("doc('s.xml')//person[2]",
+                               doc_resolver=resolver)
         _update(resolver, "delete node doc('s.xml')//person[2]")
         for index in range(2 * KEY_STRIDE):
             _update(resolver,
@@ -367,9 +374,9 @@ class TestDetachedRekey:
 
     def test_replaced_and_replace_value_children_are_rekeyed(self):
         doc, resolver = _store()
-        [old_person] = evaluate_query("doc('s.xml')//person[1]",
-                                      doc_resolver=resolver)
-        [old_name_text] = evaluate_query(
+        [old_person] = interpret("doc('s.xml')//person[1]",
+                                 doc_resolver=resolver)
+        [old_name_text] = interpret(
             "doc('s.xml')//person[2]/name/text()", doc_resolver=resolver)
         _update(resolver,
                 "replace value of node doc('s.xml')//person[2]/name "
@@ -394,8 +401,8 @@ class TestHandAssembledFallback:
         root.append(a)
         root.append(b)
         before = ENCODING_STATS.snapshot()
-        evaluate_query("insert node <x/> before $b",
-                       variables={"b": [b]})
+        interpret("insert node <x/> before $b",
+                  variables={"b": [b]})
         after = ENCODING_STATS.snapshot()
         assert after["reencodes_full"] > before["reencodes_full"]
         assert_keys_monotone(root)
@@ -423,20 +430,20 @@ class TestEquivalenceGappedVsDense:
 
     def test_byte_identical_across_encodings_and_modes(self):
         outputs = []
-        for stride, incremental, accelerator in (
-                (None, True, True),    # gapped, O(change), accelerated
-                (None, True, False),   # gapped over the naive walkers
-                (1, False, True),      # dense full-restamp baseline
-                (1, False, False)):
-            doc, resolver = _store(stride=stride)
+        for incremental, accelerator in (
+                (True, True),    # O(change), accelerated
+                (True, False),   # O(change) over the naive walkers
+                (False, True),   # full-reencode reference
+                (False, False)):
+            doc, resolver = _store()
             run = []
             for update in self.UPDATES:
-                evaluate_query(update, doc_resolver=resolver,
-                               accelerator=accelerator,
-                               incremental_updates=incremental)
+                interpret(update, doc_resolver=resolver,
+                          accelerator=accelerator,
+                          incremental=incremental)
                 run.extend(serialize_sequence(
-                    evaluate_query(query, doc_resolver=resolver,
-                                   accelerator=accelerator))
+                    interpret(query, doc_resolver=resolver,
+                              accelerator=accelerator))
                     for query in self.QUERIES)
             outputs.append(run)
         assert outputs[0] == outputs[1] == outputs[2] == outputs[3]

@@ -233,7 +233,7 @@ class TestCoordinator:
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
                      [[[make_string("4")]]], updating=True)
 
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = TransactionCoordinator(session)
         for participant in session.participants:
             coordinator.register(participant)
         outcome = coordinator.run()
@@ -251,7 +251,7 @@ class TestCoordinator:
         session = ClientSession(network, origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
                      [[[make_string("4")]]], updating=True)
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = TransactionCoordinator(session)
         coordinator.register("p1")
         assert coordinator.prepare().votes == {"p1": True}
         # Second prepare on the participant: still fine (idempotent).
@@ -260,7 +260,9 @@ class TestCoordinator:
     def test_commit_without_prepare_rejected(self):
         network = SimulatedNetwork()
         query_id = QueryID(host="p0", timestamp=0.0, timeout=60)
-        coordinator = TransactionCoordinator(network, query_id)
+        from repro.rpc.client import ClientSession
+        coordinator = TransactionCoordinator(
+            ClientSession(network, origin="p0", query_id=query_id))
         with pytest.raises(TransactionError):
             coordinator.commit()
 
@@ -274,7 +276,7 @@ class TestCoordinator:
         session = ClientSession(network, origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
                      [[[make_string("4")]]], updating=True)
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = TransactionCoordinator(session)
         coordinator.register("p1")
         coordinator.rollback()
         assert p1.store.get("counter.xml").string_value() == "0"

@@ -38,7 +38,7 @@ from repro.xdm.nodes import ElementNode, Node
 from repro.xml import parse_document
 from repro.xml.serializer import escape_text, serialize_sequence
 from repro.xquery.context import ExecutionContext
-from repro.xquery.evaluator import evaluate_query
+from tests.helpers import densify, interpret
 
 CONFIG = XMarkConfig(persons=10, closed_auctions=20, open_auctions=5,
                      matches=3)
@@ -62,15 +62,19 @@ def assert_search_equal(root: Node, terms) -> None:
 # KEYWORD_SUITE: 100% lifted, interpreter-identical
 
 
-@pytest.fixture(scope="module", params=[None, 1], ids=["gapped", "dense"])
+@pytest.fixture(scope="module", params=[False, True], ids=["gapped", "dense"])
 def resolver(request):
-    stride = request.param
+    # "dense": keys packed unevenly by in-gap inserts, so no kernel may
+    # rely on the parsers' KEY_STRIDE spacing.
     documents = {
         "persons.xml": parse_document(generate_persons(CONFIG),
-                                      uri="persons.xml", stride=stride),
+                                      uri="persons.xml"),
         "auctions.xml": parse_document(generate_auctions(CONFIG),
-                                       uri="auctions.xml", stride=stride),
+                                       uri="auctions.xml"),
     }
+    if request.param:
+        for document in documents.values():
+            densify(document)
     return documents.get
 
 
@@ -86,8 +90,8 @@ def test_keyword_suite_runs_lifted(resolver, name, accelerator):
     assert explain.fallback_reason is None
     assert engine.fallback_stats() == {}
     assert explain.search_queries > 0
-    interpreted = evaluate_query(query, doc_resolver=resolver,
-                                 accelerator=accelerator)
+    interpreted = interpret(query, doc_resolver=resolver,
+                            accelerator=accelerator)
     assert len(result) == len(interpreted)
     for left, right in zip(result, interpreted):
         if isinstance(left, Node) or isinstance(right, Node):
@@ -506,8 +510,7 @@ class TestPropertyEquivalence:
            needle=st.text(alphabet="ab -", max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_contains_prefilter_equals_oracle(self, doc, needle):
-        for stride in (None, 1):
-            root = parse_document(doc, stride=stride)
+        for root in (parse_document(doc), densify(parse_document(doc))):
             assert contains_matches(root, needle) \
                 == naive_contains_scan(root, needle)
 
@@ -515,8 +518,7 @@ class TestPropertyEquivalence:
            needle=st.text(alphabet="ab -", max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_contains_scan_equals_oracle(self, doc, needle):
-        for stride in (None, 1):
-            root = parse_document(doc, stride=stride)
+        for root in (parse_document(doc), densify(parse_document(doc))):
             assert term_index_for(root).contains_scan(needle) \
                 == naive_contains_scan(root, needle)
 

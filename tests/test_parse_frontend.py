@@ -1,11 +1,12 @@
-"""Differential suite: expat vs pure-python parse backends.
+"""Differential suite: the expat frontend vs the pure-python parser.
 
 The expat frontend's contract is byte-identical trees — same node kinds
 in the same order, same names/values, same namespace resolution, and
 identical pre/size/level planes and gapped order keys.  Every test here
-parses the same input through both backends and compares full tree
-encodings, plus property-based round-trips (parse -> serialize ->
-parse) across both.
+parses the same input through both parsers (``parse_document_expat`` and
+``parse_document_python``) and compares full tree encodings, plus
+property-based round-trips (parse -> serialize -> parse) across both —
+documents and the SOAP envelopes the message layer builds.
 """
 
 import string as stringmod
@@ -14,7 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.session import Database
-from repro.soap.messages import XRPCRequest, build_request, parse_request
+from repro.soap.messages import (
+    QueryID,
+    TxnCommand,
+    XRPCRequest,
+    XRPCResponse,
+    build_fault,
+    build_request,
+    build_response,
+    build_txn_command,
+    parse_request,
+)
 from repro.workloads.xmark import (
     XMarkConfig,
     generate_auctions,
@@ -32,12 +43,11 @@ from repro.xdm.nodes import (
 )
 from repro.xml.expat_parser import ExpatUnsupported, parse_document_expat
 from repro.xml.parser import (
-    BACKENDS,
     XMLSyntaxError,
     decode_xml_bytes,
-    default_backend,
     parse_document,
     parse_document_python,
+    parse_fragment,
 )
 from repro.xml.serializer import escape_attribute, escape_text, serialize
 from repro.xml.stats import PARSE_STATS
@@ -78,9 +88,13 @@ def rows(document):
     return out
 
 
-def assert_identical(text, stride=None):
-    py = parse_document(text, uri="u", stride=stride, backend="python")
-    ex = parse_document(text, uri="u", stride=stride, backend="expat")
+#: Both parsers, without the dispatch rule between them.
+PARSERS = {"expat": parse_document_expat, "python": parse_document_python}
+
+
+def assert_identical(text):
+    py = parse_document_python(text, uri="u")
+    ex = parse_document_expat(text, uri="u")
     assert rows(py) == rows(ex)
     return py, ex
 
@@ -94,9 +108,6 @@ class TestIdenticalTrees:
 
     def test_xmark_persons(self):
         assert_identical(generate_persons(XMARK))
-
-    def test_dense_stride_ablation(self):
-        assert_identical(generate_auctions(XMARK), stride=1)
 
     def test_gapped_order_keys(self):
         _, doc = assert_identical("<r><a x='1'/><b>t</b></r>")
@@ -161,29 +172,29 @@ class TestIdenticalTrees:
 
 class TestBytesInput:
     def test_plain_utf8_bytes(self):
-        py = parse_document("<r>é</r>".encode("utf-8"), backend="python")
-        ex = parse_document("<r>é</r>".encode("utf-8"), backend="expat")
+        py = parse_document_python("<r>é</r>".encode("utf-8"))
+        ex = parse_document_expat("<r>é</r>".encode("utf-8"))
         assert rows(py) == rows(ex)
         assert ex.root_element.string_value() == "é"
 
     def test_utf8_bom(self):
         data = b"\xef\xbb\xbf<r>x</r>"
-        for backend in BACKENDS:
-            doc = parse_document(data, backend=backend)
+        for parse in PARSERS.values():
+            doc = parse(data)
             assert doc.root_element.string_value() == "x"
 
     def test_utf16_bom(self):
         data = '<?xml version="1.0" encoding="utf-16"?><r>é</r>' \
             .encode("utf-16")
-        for backend in BACKENDS:
-            doc = parse_document(data, backend=backend)
+        for parse in PARSERS.values():
+            doc = parse(data)
             assert doc.root_element.string_value() == "é"
 
     def test_declared_latin1(self):
         data = ('<?xml version="1.0" encoding="ISO-8859-1"?><r>é</r>'
                 .encode("latin-1"))
-        for backend in BACKENDS:
-            doc = parse_document(data, backend=backend)
+        for parse in PARSERS.values():
+            doc = parse(data)
             assert doc.root_element.string_value() == "é"
 
     def test_decode_xml_bytes_unknown_encoding(self):
@@ -198,24 +209,15 @@ class TestBytesInput:
 
 
 class TestDispatchAndFallback:
-    def test_default_is_expat(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
-        assert default_backend() == "expat"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_XML_BACKEND", "python")
-        assert default_backend() == "python"
-        before = PARSE_STATS.snapshot()["documents_python"]
+    def test_default_is_expat(self):
+        before = PARSE_STATS.snapshot()
         parse_document("<r/>")
-        assert PARSE_STATS.snapshot()["documents_python"] == before + 1
+        after = PARSE_STATS.snapshot()
+        assert after["documents_expat"] == before["documents_expat"] + 1
+        assert after["documents_python"] == before["documents_python"]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            parse_document("<r/>", backend="libxml2")
-
-    def test_internal_subset_falls_back(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
-        # Declared entities are outside the expat backend's subset; the
+    def test_internal_subset_falls_back(self):
+        # Declared entities are outside the expat frontend's subset; the
         # python parser skips the subset but rejects the *reference*, so
         # the dispatcher's fallback re-diagnoses uniformly.
         text = '<!DOCTYPE r [<!ENTITY e "x">]><r>&e;</r>'
@@ -226,55 +228,65 @@ class TestDispatchAndFallback:
             parse_document(text)
         assert PARSE_STATS.snapshot()["fallbacks_to_python"] == before + 1
 
+    def test_internal_subset_parses_on_fallback(self):
+        text = '<!DOCTYPE r [<!ATTLIST r a CDATA "d">]><r/>'
+        with pytest.raises(ExpatUnsupported):
+            parse_document_expat(text)
+        before = PARSE_STATS.snapshot()["documents_python"]
+        assert rows(parse_document(text)) == rows(parse_document_python(text))
+        assert PARSE_STATS.snapshot()["documents_python"] == before + 1
+
     def test_explicit_expat_never_falls_back(self):
         with pytest.raises(ExpatUnsupported):
-            parse_document('<!DOCTYPE r [<!ENTITY e "x">]><r/>',
-                           backend="expat")
+            parse_document_expat('<!DOCTYPE r [<!ENTITY e "x">]><r/>')
 
     def test_malformed_error_parity(self):
         cases = ["<r>", "<r></s>", "<r a='1' a='2'/>", "text only",
                  "<r>&unknown;</r>", "<a/><b/>"]
         for text in cases:
-            for backend in (None, "python", "expat"):
+            for parse in (parse_document, *PARSERS.values()):
                 with pytest.raises(XMLSyntaxError):
-                    parse_document(text, backend=backend)
+                    parse(text)
 
     def test_error_locations_match(self):
         text = "<root>\n  <unclosed>\n</root>"
         with pytest.raises(XMLSyntaxError) as py_err:
-            parse_document(text, backend="python")
+            parse_document_python(text)
         with pytest.raises(XMLSyntaxError) as default_err:
             parse_document(text)  # expat fails, python re-diagnoses
         assert str(default_err.value) == str(py_err.value)
 
     def test_message_path_backend_threading(self):
+        # The message layer parses through parse_document's one rule:
+        # encoded bytes in, the expat frontend first.
         request = XRPCRequest(module="m", method="f", arity=1,
                               location="http://x/m.xq")
         request.add_call([[integer(1), string("a&b")]])
         payload = build_request(request)
-        for backend in BACKENDS:
-            parsed = parse_request(payload.encode("utf-8"), backend=backend)
-            assert parsed.method == "f"
-            assert parsed.calls[0][0][1].value == "a&b"
+        before = PARSE_STATS.snapshot()["documents_expat"]
+        parsed = parse_request(payload.encode("utf-8"))
+        assert PARSE_STATS.snapshot()["documents_expat"] == before + 1
+        assert parsed.method == "f"
+        assert parsed.calls[0][0][1].value == "a&b"
 
 
 class TestTelemetry:
     def test_database_stats_counters(self):
-        db = Database(xml_backend="expat")
+        db = Database()
         before = db.stats()
         db.register("d.xml", "<r><a/></r>")
         after = db.stats()
-        assert after.xml_backend == "expat"
         assert after.parse_documents_expat == before.parse_documents_expat + 1
         assert after.parse_bytes_expat > before.parse_bytes_expat
 
-    def test_database_python_ablation(self):
-        db = Database(xml_backend="python")
+    def test_database_counts_python_fallback(self):
+        db = Database()
         before = db.stats()
-        db.register("d.xml", "<r/>")
+        db.register("d.xml", '<!DOCTYPE r [<!ATTLIST r a CDATA "d">]><r/>')
         after = db.stats()
         assert after.parse_documents_python \
             == before.parse_documents_python + 1
+        assert after.parse_fallbacks == before.parse_fallbacks + 1
 
     def test_explain_reports_no_parse_work_for_warm_doc(self):
         db = Database()
@@ -285,7 +297,7 @@ class TestTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Property-based round-trips across both backends
+# Property-based round-trips across both parsers
 
 _NAME_START = stringmod.ascii_letters + "_"
 _NAME_CHARS = stringmod.ascii_letters + stringmod.digits + "_-."
@@ -324,23 +336,77 @@ def xml_trees(draw, depth=2):
 @settings(max_examples=60, deadline=None)
 @given(xml_trees())
 def test_backends_agree_on_random_trees(text):
-    assert rows(parse_document(text, backend="python")) \
-        == rows(parse_document(text, backend="expat"))
+    assert rows(parse_document_python(text)) \
+        == rows(parse_document_expat(text))
 
 
 @settings(max_examples=60, deadline=None)
 @given(xml_trees())
 def test_round_trip_across_backends(text):
-    # parse -> serialize -> parse is a fixed point, on either backend,
-    # and the serialized form is backend-independent.
+    # parse -> serialize -> parse is a fixed point, on either parser,
+    # and the serialized form is parser-independent.
     serialized = {}
-    for backend in BACKENDS:
-        doc = parse_document(text, backend=backend)
-        serialized[backend] = serialize(doc)
-        reparsed = parse_document(serialized[backend], backend=backend)
-        assert rows(reparsed) == rows(
-            parse_document(serialized[backend],
-                           backend="python" if backend == "expat"
-                           else "expat"))
-        assert serialize(reparsed) == serialized[backend]
+    for name, parse in PARSERS.items():
+        doc = parse(text)
+        serialized[name] = serialize(doc)
+        reparsed = parse(serialized[name])
+        other = PARSERS["python" if name == "expat" else "expat"]
+        assert rows(reparsed) == rows(other(serialized[name]))
+        assert serialize(reparsed) == serialized[name]
     assert serialized["expat"] == serialized["python"]
+
+
+# ---------------------------------------------------------------------------
+# The same differential over the SOAP envelopes the message layer builds
+
+soap_values = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(integer),
+    xml_text.map(string),
+    xml_trees(depth=1).map(parse_fragment),
+)
+deadlines = st.one_of(st.none(), st.floats(min_value=0, max_value=100))
+
+
+@st.composite
+def soap_envelopes(draw):
+    """An envelope from one of the message builders, random payloads."""
+    kind = draw(st.sampled_from(["request", "response", "fault", "txn"]))
+    method = draw(xml_names)
+    exchange_id = draw(st.one_of(st.none(), xml_names))
+    if kind == "request":
+        query_id = draw(st.one_of(st.none(), st.builds(
+            QueryID, host=xml_names, timestamp=st.floats(0, 1e6),
+            timeout=st.integers(1, 600))))
+        request = XRPCRequest(
+            module=draw(xml_names), method=method, arity=1,
+            location=draw(st.one_of(st.none(), xml_names)),
+            query_id=query_id, updating=draw(st.booleans()),
+            exchange_id=exchange_id, deadline_remaining=draw(deadlines))
+        for values in draw(st.lists(st.lists(soap_values, max_size=3),
+                                    min_size=1, max_size=3)):
+            request.add_call([values])
+        return build_request(request)
+    if kind == "response":
+        return build_response(XRPCResponse(
+            module=draw(xml_names), method=method,
+            results=draw(st.lists(st.lists(soap_values, max_size=3),
+                                  max_size=3)),
+            participating_peers=draw(st.lists(xml_names, max_size=2)),
+            exchange_id=exchange_id))
+    if kind == "fault":
+        return build_fault(draw(st.sampled_from(["env:Sender",
+                                                 "env:Receiver"])),
+                           draw(xml_text), exchange_id)
+    return build_txn_command(TxnCommand(
+        draw(st.sampled_from(["prepare", "commit", "rollback"])),
+        QueryID(host=draw(xml_names), timestamp=1.0, timeout=60),
+        exchange_id=exchange_id, deadline_remaining=draw(deadlines)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(soap_envelopes())
+def test_parsers_agree_on_soap_envelopes(envelope):
+    assert rows(parse_document_python(envelope)) \
+        == rows(parse_document_expat(envelope))
+    assert rows(parse_document_python(envelope.encode("utf-8"))) \
+        == rows(parse_document_expat(envelope.encode("utf-8")))

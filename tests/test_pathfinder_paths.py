@@ -16,7 +16,8 @@ from repro.workloads.xmark import XMarkConfig, generate_auctions, generate_perso
 from repro.xdm.nodes import Node
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
-from repro.xquery.evaluator import evaluate_query
+from repro.xquery.context import ExecutionContext
+from tests.helpers import interpret
 
 CONFIG = XMarkConfig(persons=12, closed_auctions=30, open_auctions=6,
                      matches=3)
@@ -37,8 +38,8 @@ def assert_equivalent(query, resolver, context_item=None, nonempty=True):
     """Lifted and interpreted results must be the *same* sequence."""
     lifted = LoopLiftedQuery(query, doc_resolver=resolver).run(
         context_item=context_item)
-    interpreted = evaluate_query(query, doc_resolver=resolver,
-                                 context_item=context_item)
+    interpreted = interpret(query, doc_resolver=resolver,
+                            context_item=context_item)
     assert len(lifted) == len(interpreted)
     for left, right in zip(lifted, interpreted):
         if isinstance(left, Node) or isinstance(right, Node):
@@ -260,37 +261,40 @@ class TestFallbackTelemetry:
 
     def test_engine_records_lifted_plan(self, resolver):
         engine = Engine()
-        result = engine.execute_lifted("doc('persons.xml')//person/name",
-                                       doc_resolver=resolver)
-        assert engine.last_plan == "lifted"
-        assert engine.last_fallback_reason is None
+        result, explain = engine.execute(
+            "doc('persons.xml')//person/name",
+            ExecutionContext(doc_resolver=resolver))
+        assert explain.plan == "lifted"
+        assert explain.fallback_reason is None
         assert len(result) == CONFIG.persons
 
     def test_engine_falls_back_with_reason(self, resolver):
         engine = Engine()
-        result = engine.execute_lifted(
-            "count(doc('persons.xml')//person)", doc_resolver=resolver)
-        assert engine.last_plan == "interpreter"
-        assert engine.last_fallback_reason.startswith("FunctionCall:")
-        assert engine.last_fallback_code == "function-not-lifted"
+        result, explain = engine.execute(
+            "count(doc('persons.xml')//person)",
+            ExecutionContext(doc_resolver=resolver))
+        assert explain.plan == "interpreter"
+        assert explain.fallback_reason.startswith("FunctionCall:")
+        assert explain.fallback_code == "function-not-lifted"
         assert engine.fallback_stats() == {"function-not-lifted": 1}
         assert len(result) == 1
 
     def test_formerly_falling_axes_now_run_lifted(self, resolver):
         engine = Engine()
-        result = engine.execute_lifted(
+        result, explain = engine.execute(
             "doc('persons.xml')//name/ancestor::person",
-            doc_resolver=resolver)
-        assert engine.last_plan == "lifted"
-        assert engine.last_fallback_reason is None
+            ExecutionContext(doc_resolver=resolver))
+        assert explain.plan == "lifted"
+        assert explain.fallback_reason is None
         assert engine.fallback_stats() == {}
         assert len(result) == CONFIG.persons
 
     def test_engine_fallback_matches_interpreter(self, resolver):
         engine = Engine()
         query = "count(doc('auctions.xml')//closed_auction)"
-        result = engine.execute_lifted(query, doc_resolver=resolver)
-        expected = evaluate_query(query, doc_resolver=resolver)
+        result, _ = engine.execute(query,
+                                   ExecutionContext(doc_resolver=resolver))
+        expected = interpret(query, doc_resolver=resolver)
         assert serialize_sequence(result) == serialize_sequence(expected)
 
     def test_fn_doc_without_resolver_falls_back(self):

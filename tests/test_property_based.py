@@ -344,47 +344,45 @@ _PROBE_QUERIES = (
 
 
 class TestInterleavedUpdateQueryEquivalence:
-    """Random PUL + path-query sequences must agree across the gapped
-    O(change) update path (accelerator on and off, lifted-first engine
-    and plain interpreter) and the dense full-restamp baseline."""
+    """Random PUL + path-query sequences must agree across the O(change)
+    update path (accelerator on and off, lifted-first engine and plain
+    interpreter) and the full-reencode reference."""
 
     @given(st.lists(_update_ops, min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_all_paths_agree(self, operations):
         from repro.engine import Engine
         from repro.xquery.context import ExecutionContext
-        from repro.xquery.evaluator import evaluate_query
+        from tests.helpers import interpret
 
-        def run(stride, incremental, accelerator, lifted):
-            document = parse_document(_sections_xml(), uri="r.xml",
-                                      stride=stride)
+        def run(incremental, accelerator, lifted):
+            document = parse_document(_sections_xml(), uri="r.xml")
             resolver = {"r.xml": document}.get
             engine = Engine(accelerator=accelerator) if lifted else None
             outputs = []
             for operation in operations:
                 update = _op_query(operation)
                 try:
-                    evaluate_query(update, doc_resolver=resolver,
-                                   accelerator=accelerator,
-                                   incremental_updates=incremental)
+                    interpret(update, doc_resolver=resolver,
+                              accelerator=accelerator,
+                              incremental=incremental)
                     outputs.append("ok")
                 except Exception as error:  # dynamic update errors must
                     outputs.append(type(error).__name__)  # agree too
                 for probe in _PROBE_QUERIES:
                     if lifted:
                         result, _ = engine.execute(probe, ExecutionContext(
-                            doc_resolver=resolver, accelerator=accelerator,
-                            incremental_updates=incremental))
+                            doc_resolver=resolver, accelerator=accelerator))
                     else:
-                        result = evaluate_query(probe, doc_resolver=resolver,
-                                                accelerator=accelerator)
+                        result = interpret(probe, doc_resolver=resolver,
+                                           accelerator=accelerator)
                     outputs.append(serialize(s2n(result)))
             return outputs
 
-        gapped_accel = run(None, True, True, False)
-        gapped_naive = run(None, True, False, False)
-        gapped_lifted = run(None, True, True, True)
-        dense_full = run(1, False, True, False)
-        assert gapped_accel == gapped_naive
-        assert gapped_accel == gapped_lifted
-        assert gapped_accel == dense_full
+        incremental_accel = run(True, True, False)
+        incremental_naive = run(True, False, False)
+        incremental_lifted = run(True, True, True)
+        full_reencode = run(False, True, False)
+        assert incremental_accel == incremental_naive
+        assert incremental_accel == incremental_lifted
+        assert incremental_accel == full_reencode

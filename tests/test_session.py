@@ -14,7 +14,8 @@ from repro.session import Database, ExecutionContext, PreparedQuery
 from repro.workloads.xmark import XMarkConfig, generate_auctions, generate_persons
 from repro.xdm.structural import structural_index
 from repro.xml.serializer import serialize_sequence
-from repro.xquery.evaluator import CompiledQuery, evaluate_query
+from repro.xquery.evaluator import CompiledQuery
+from tests.helpers import interpret
 
 CONFIG = XMarkConfig(persons=12, closed_auctions=30, open_auctions=6,
                      matches=3)
@@ -128,20 +129,15 @@ class TestLazyCursor:
 
 
 class TestDeprecationShims:
-    """The pre-session-API keyword signatures still work unchanged."""
+    """Where callers of the removed pre-session-API shims moved to."""
 
-    def test_engine_execute_lifted_old_signature(self, db):
+    def test_engine_execute_returns_explain(self, db):
         engine = Engine()
-        result = engine.execute_lifted("doc('persons.xml')//person/name",
-                                       doc_resolver=db._resolve_document)
+        result, explain = engine.execute(
+            "doc('persons.xml')//person/name",
+            ExecutionContext(doc_resolver=db._resolve_document))
         assert len(result) == CONFIG.persons
-        assert engine.last_plan == "lifted"
-
-    def test_compiled_query_execute_old_kwargs(self, db):
-        compiled = CompiledQuery("doc('persons.xml')//person/name")
-        result, pul = compiled.execute(doc_resolver=db._resolve_document)
-        assert len(result) == CONFIG.persons
-        assert not pul
+        assert explain.plan == "lifted"
 
     def test_compiled_query_run_takes_context(self, db):
         compiled = CompiledQuery(
@@ -152,11 +148,6 @@ class TestDeprecationShims:
             doc_resolver=db._resolve_document,
             variables={"pid": [string("person0")]}))
         assert len(result) == 1
-
-    def test_evaluate_query_convenience_still_works(self, db):
-        result = evaluate_query("doc('persons.xml')//person/name",
-                                doc_resolver=db._resolve_document)
-        assert len(result) == CONFIG.persons
 
 
 class TestPlanCacheLRU:
@@ -190,12 +181,12 @@ class TestPlanCacheLRU:
         engine = Engine()
         engine.compile("1 + 1")
         engine.compile("1 + 1")
-        engine.compile("2 + 2")
+        _, _, cache_hit = engine.compile_with_stats("2 + 2")
         assert engine.plan_cache_hits == 1
         assert engine.plan_cache_misses == 2
-        assert engine.last_compile_cache_hit is False
-        engine.compile("2 + 2")
-        assert engine.last_compile_cache_hit is True
+        assert cache_hit is False
+        _, compile_seconds, cache_hit = engine.compile_with_stats("2 + 2")
+        assert cache_hit is True and compile_seconds == 0.0
 
 
 class TestThreadSafety:
@@ -262,8 +253,8 @@ class TestAlgebraEqualityProbe:
                  "return doc('persons.xml')//person[@id = $id]/name")
         lifted = db.execute(query)
         assert db.prepare(query).explain().plan == "lifted"
-        interpreted = evaluate_query(query,
-                                     doc_resolver=db._resolve_document)
+        interpreted = interpret(query,
+                                doc_resolver=db._resolve_document)
         assert serialize_sequence(lifted) == serialize_sequence(interpreted)
         index = structural_index(db.store.get("persons.xml"))
         probe_keys = [key for key in index.value_indexes
@@ -278,8 +269,8 @@ class TestAlgebraEqualityProbe:
         query = ("doc('auctions.xml')//closed_auction"
                  "[buyer/@person = 'person0']/price")
         lifted = db.execute(query)
-        interpreted = evaluate_query(query,
-                                     doc_resolver=db._resolve_document)
+        interpreted = interpret(query,
+                                doc_resolver=db._resolve_document)
         assert serialize_sequence(lifted) == serialize_sequence(interpreted)
         assert lifted, "query unexpectedly empty"
 
@@ -330,10 +321,11 @@ class TestPeerUnifiedPipeline:
 
     def test_engine_telemetry_mirrors_query_result(self, peer):
         result = peer.execute_query("doc('persons.xml')//person")
-        assert peer.engine.last_plan == result.plan == "lifted"
+        assert result.plan == "lifted"
+        assert peer.engine.fallback_stats() == {}
         result = peer.execute_query("count(doc('persons.xml')//person)")
-        assert peer.engine.last_plan == result.plan == "interpreter"
-        assert peer.engine.last_fallback_reason == result.fallback_reason
+        assert result.plan == "interpreter"
+        assert peer.engine.fallback_stats() == {result.fallback_code: 1}
 
     def test_explain_is_session_api_shape(self, peer):
         explain = peer.execute_query("doc('persons.xml')//person").explain()

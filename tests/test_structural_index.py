@@ -12,8 +12,7 @@ from repro.xdm import (
 from repro.xdm.nodes import ElementNode
 from repro.xml import parse_document
 from repro.xml.serializer import serialize, serialize_sequence
-from repro.xquery.evaluator import evaluate_query
-from tests.helpers import run, strings
+from tests.helpers import interpret, run, strings
 
 SITE = """
 <site>
@@ -58,8 +57,8 @@ def _both_modes(query, docs):
     for accelerator in (True, False):
         parsed = {uri: parse_document(text, uri=uri)
                   for uri, text in docs.items()}
-        result = evaluate_query(query, doc_resolver=parsed.get,
-                                accelerator=accelerator)
+        result = interpret(query, doc_resolver=parsed.get,
+                           accelerator=accelerator)
         serialized.append(serialize_sequence(result))
     return serialized
 
@@ -69,7 +68,7 @@ class TestEncoding:
         doc = parse_document("<a x='1'><b/><c>t</c></a>")
         a = doc.root_element
         assert doc.pre == 0 and doc.level == 0
-        # Serials are gapped (stride KEY_STRIDE); sizes are serial-unit
+        # Serials are gapped (KEY_STRIDE apart); sizes are serial-unit
         # extents: a's subtree holds attribute x, b, c, text = 4 keys.
         stride = KEY_STRIDE
         assert a.pre == stride and a.size == 4 * stride and a.level == 1
@@ -79,12 +78,6 @@ class TestEncoding:
         assert a.attributes[0].level == 2
         # document extent covers every serial issued after it
         assert doc.size == 5 * stride
-
-    def test_dense_stride_recovers_historical_encoding(self):
-        doc = parse_document("<a x='1'><b/><c>t</c></a>", stride=1)
-        a = doc.root_element
-        assert a.pre == 1 and a.size == 4
-        assert doc.size == 5
 
     def test_descendant_window_contains_exactly_the_subtree(self):
         doc = parse_document(SITE)
@@ -196,14 +189,14 @@ class TestAdoptedFragments:
     def test_axes_on_adopted_fragment(self, axis, expected):
         fragment = self._adopted_person()
         for accelerator in (True, False):
-            result = evaluate_query(f"$f/{axis}", variables={"f": [fragment]},
-                                    context_item=fragment,
-                                    accelerator=accelerator)
+            result = interpret(f"$f/{axis}", variables={"f": [fragment]},
+                               context_item=fragment,
+                               accelerator=accelerator)
             assert len(result) == expected, (axis, accelerator)
 
     def test_adopted_fragment_attribute_axis(self):
         fragment = self._adopted_person()
-        result = evaluate_query("$f/@id", variables={"f": [fragment]})
+        result = interpret("$f/@id", variables={"f": [fragment]})
         assert [a.value for a in result] == ["p0"]
 
 
@@ -215,17 +208,17 @@ class TestUpdateInvalidation:
         for accelerator in (True, False):
             docs = self._store()
             # Prime the structural index, then mutate through a PUL.
-            before = evaluate_query("doc('s.xml')//person",
-                                    doc_resolver=docs.get,
-                                    accelerator=accelerator)
+            before = interpret("doc('s.xml')//person",
+                               doc_resolver=docs.get,
+                               accelerator=accelerator)
             assert len(before) == 2
-            evaluate_query(
+            interpret(
                 "insert node <person id='p2'><name>Edsger</name></person> "
                 "as last into doc('s.xml')/site/people",
                 doc_resolver=docs.get, accelerator=accelerator)
-            after = evaluate_query("doc('s.xml')//person/name",
-                                   doc_resolver=docs.get,
-                                   accelerator=accelerator)
+            after = interpret("doc('s.xml')//person/name",
+                              doc_resolver=docs.get,
+                              accelerator=accelerator)
             assert strings(after) == ["Ada", "Grace", "Edsger"], accelerator
 
     def test_inserted_content_sorts_in_tree_position(self):
@@ -233,13 +226,13 @@ class TestUpdateInvalidation:
         # a document-order merge must not push them to the end.
         for accelerator in (True, False):
             docs = self._store()
-            evaluate_query(
+            interpret(
                 "insert node <person id='pX'><name>Alonzo</name></person> "
                 "as first into doc('s.xml')/site/people",
                 doc_resolver=docs.get, accelerator=accelerator)
-            names = evaluate_query("doc('s.xml')//name",
-                                   doc_resolver=docs.get,
-                                   accelerator=accelerator)
+            names = interpret("doc('s.xml')//name",
+                              doc_resolver=docs.get,
+                              accelerator=accelerator)
             assert strings(names) == ["Alonzo", "Ada", "Grace"], accelerator
 
     def test_replace_value_on_element_reencodes(self):
@@ -249,13 +242,13 @@ class TestUpdateInvalidation:
         outputs = []
         for accelerator in (True, False):
             docs = self._store()
-            evaluate_query(
+            interpret(
                 "replace value of node doc('s.xml')//person[1]/name "
                 "with 'Augusta'",
                 doc_resolver=docs.get, accelerator=accelerator)
-            result = evaluate_query("doc('s.xml')//node()",
-                                    doc_resolver=docs.get,
-                                    accelerator=accelerator)
+            result = interpret("doc('s.xml')//node()",
+                               doc_resolver=docs.get,
+                               accelerator=accelerator)
             outputs.append(serialize_sequence(result))
         assert outputs[0] == outputs[1]
         assert "Augusta" in outputs[0]
@@ -266,14 +259,14 @@ class TestUpdateInvalidation:
         # which mutation replaces).
         docs = self._store()
         probe = "doc('s.xml')//person[@id = 'p1']/name"
-        assert strings(evaluate_query(probe, doc_resolver=docs.get)) == \
+        assert strings(interpret(probe, doc_resolver=docs.get)) == \
             ["Grace"]
-        evaluate_query(
+        interpret(
             "for $p in doc('s.xml')//person "
             "where $p/@id = 'p1' "
             "return rename node $p as 'retired'",
             doc_resolver=docs.get)
-        assert strings(evaluate_query(probe, doc_resolver=docs.get)) == []
+        assert strings(interpret(probe, doc_resolver=docs.get)) == []
 
     def test_value_index_cache_key_not_id_based(self):
         # Two distinct anchors must never share one cached value index
@@ -281,7 +274,7 @@ class TestUpdateInvalidation:
         docs = self._store()
         query = ("for $scope in (doc('s.xml')/site/people, doc('s.xml')/site) "
                  "return count($scope/descendant::person[@id = 'p0'])")
-        counts = [v.value for v in evaluate_query(query, doc_resolver=docs.get)]
+        counts = [v.value for v in interpret(query, doc_resolver=docs.get)]
         assert counts == [1, 1]
 
 

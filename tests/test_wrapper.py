@@ -3,13 +3,15 @@
 import pytest
 
 from repro.engine import TreeEngine
-from repro.errors import XRPCFault
+from repro.errors import RetryableTransportError, XRPCFault
 from repro.net import SimulatedNetwork
+from repro.net.transport import ExchangeSpec, Transport
 from repro.rpc import XRPCPeer
 from repro.soap import XRPCRequest, build_request, parse_response
+from repro.soap.messages import parse_message
 from repro.wrapper import XRPCWrapper, generate_wrapper_query
 from repro.xdm import integer, string, xs
-from tests.helpers import xml
+from tests.helpers import values, xml
 
 GETPERSON_MODULE = """
 module namespace func = "functions";
@@ -163,3 +165,45 @@ class TestWrapperOnNetwork:
             ["Kasidit Treweek", "Wang Yong"]
         # Bulk: both calls in one message even across systems.
         assert result.messages_sent == 1
+
+
+class DropFirstGetDoc(Transport):
+    """Loses the first ``sys:get-doc`` request before delivery."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.dropped = 0
+
+    def send(self, destination, payload):
+        return self.exchange(ExchangeSpec(destination, payload))
+
+    def exchange(self, spec):
+        if not self.dropped \
+                and parse_message(spec.payload).method == "get-doc":
+            self.dropped += 1
+            raise RetryableTransportError("get-doc request lost",
+                                          request_sent=False)
+        return self.inner.exchange(spec)
+
+
+class TestWrapperRemoteDocuments:
+    def test_dropped_get_doc_exchange_is_retried(self):
+        # fn:doc("xrpc://...") inside the wrapped engine fetches through
+        # the wrapper's resilience channel like any peer exchange.
+        network = SimulatedNetwork()
+        source = XRPCPeer("docs.example.org", network)
+        source.store.register("people.xml", PEOPLE)
+        lossy = DropFirstGetDoc(network)
+        wrapper = XRPCWrapper(engine=TreeEngine(), transport=lossy,
+                              host="saxon.example.org")
+        wrapper.engine.registry.register_source("""
+        module namespace r = "remote";
+        declare function r:people($uri as xs:string) as xs:integer
+        { count(doc($uri)//person) };
+        """, location="remote.xq")
+        request = XRPCRequest(module="remote", method="people", arity=1,
+                              location="remote.xq")
+        request.add_call([[string("xrpc://docs.example.org/people.xml")]])
+        response = parse_response(wrapper.handle(build_request(request)))
+        assert values(response.results[0]) == [3]
+        assert lossy.dropped == 1

@@ -235,11 +235,11 @@ class TestModules:
         """
         query = 'import module namespace u = "urn:upper"; u:two()'
         from repro.xquery.modules import ModuleRegistry
-        from repro.xquery.evaluator import evaluate_query
+        from tests.helpers import interpret
         registry = ModuleRegistry()
         registry.register_source(base)
         registry.register_source(upper)
-        assert values(evaluate_query(query, registry=registry)) == [2]
+        assert values(interpret(query, registry=registry)) == [2]
 
     def test_module_compiled_once(self):
         from repro.xquery.modules import ModuleRegistry

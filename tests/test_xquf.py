@@ -4,18 +4,18 @@ import pytest
 
 from repro.errors import UpdateError
 from repro.xml import parse_document, serialize
-from repro.xquery.evaluator import CompiledQuery, evaluate_query
+from repro.xquery.context import ExecutionContext
+from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
 from repro.xquf import PendingUpdateList, apply_updates
-from tests.helpers import values
+from tests.helpers import interpret, values
 
 
 def run_update(query: str, doc_xml: str) -> str:
     """Run an updating query against a single document 'db.xml';
     returns the serialized post-state."""
     document = parse_document(doc_xml, uri="db.xml")
-    evaluate_query(query, doc_resolver=lambda uri: document,
-                   apply_pending_updates=True)
+    interpret(query, doc_resolver=lambda uri: document)
     return serialize(document)
 
 
@@ -58,7 +58,7 @@ class TestInsert:
     def test_inserted_content_is_copied(self):
         document = parse_document("<a/>", uri="db.xml")
         query = "let $n := <b/> return (insert node $n into doc('db.xml')/a)"
-        evaluate_query(query, doc_resolver=lambda uri: document)
+        interpret(query, doc_resolver=lambda uri: document)
         inserted = document.root_element.children[0]
         assert inserted.name == "b"
         # Fresh identity: a different doc_id than any constructed node.
@@ -126,7 +126,8 @@ class TestPULSemantics:
         document = parse_document("<a><b/></a>", uri="db.xml")
         compiled = CompiledQuery(
             "(insert node <c/> into doc('db.xml')/a, count(doc('db.xml')/a/*))")
-        result, pul = compiled.execute(doc_resolver=lambda uri: document)
+        result, pul = compiled.run(
+            ExecutionContext(doc_resolver=lambda uri: document))
         # The query still sees the pre-update state.
         assert values(result) == [1]
         assert len(pul) == 1
@@ -140,7 +141,7 @@ class TestPULSemantics:
         for label in ("x", "y"):
             compiled = CompiledQuery(
                 f"insert node <{label}/> into doc('db.xml')/a")
-            _, pul = compiled.execute(doc_resolver=resolver)
+            _, pul = compiled.run(ExecutionContext(doc_resolver=resolver))
             pul_total.merge(pul)
         apply_updates(pul_total)
         names = [c.name for c in document.root_element.children]
@@ -159,8 +160,8 @@ class TestPULSemantics:
         import module namespace m = "urn:m";
         m:add(doc('db.xml')/a, 'kid')
         """
-        evaluate_query(query, registry=registry,
-                       doc_resolver=lambda uri: document)
+        interpret(query, registry=registry,
+                  doc_resolver=lambda uri: document)
         assert document.root_element.children[0].name == "kid"
 
     def test_deletes_applied_last(self):
@@ -171,13 +172,13 @@ class TestPULSemantics:
         (insert node <c/> after doc('db.xml')/a/b,
          delete node doc('db.xml')/a/b)
         """
-        evaluate_query(query, doc_resolver=lambda uri: document)
+        interpret(query, doc_resolver=lambda uri: document)
         assert serialize(document) == "<a><c/></a>"
 
     def test_fn_put_records_primitive(self):
         stored = {}
         document = parse_document("<a/>", uri="src.xml")
-        evaluate_query(
+        interpret(
             "put(doc('src.xml'), 'dest.xml')",
             doc_resolver=lambda uri: document,
             put_store=lambda uri, node: stored.__setitem__(uri, node))
