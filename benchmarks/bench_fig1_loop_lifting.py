@@ -31,12 +31,15 @@ FILMS = {
 }
 
 
-def _dispatch(peer, module, location, function, arity, calls, updating):
+def _dispatch(requests):
     from repro.net.transport import normalize_peer_uri
-    key = normalize_peer_uri(peer)
     return [
-        [string(name) for name in FILMS[(key, params[0][0].string_value())]]
-        for params in calls
+        [[string(name)
+          for name in FILMS[(normalize_peer_uri(peer),
+                             params[0][0].string_value())]]
+         for params in calls]
+        for peer, module, location, function, arity, calls, updating
+        in requests
     ]
 
 
@@ -80,9 +83,9 @@ def test_loop_lifting_scales(benchmark):
     """
     calls_seen = []
 
-    def dispatch(peer, module, location, function, arity, calls, updating):
-        calls_seen.append(len(calls))
-        return [[] for _ in calls]
+    def dispatch(requests):
+        calls_seen.extend(len(request[5]) for request in requests)
+        return [[[] for _ in request[5]] for request in requests]
 
     def run():
         calls_seen.clear()

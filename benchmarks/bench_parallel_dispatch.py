@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.net import HttpTransport, HttpXRPCServer
+from repro.net import HttpTransport, HttpXRPCServer, ResilientChannel
 from repro.rpc import XRPCPeer
 from repro.rpc.client import ClientSession
 from repro.xdm.atomic import integer
@@ -63,7 +63,7 @@ def _grouped_requests():
 
 def test_parallel_dispatch_takes_max_not_sum(benchmark, report, fleet):
     def dispatch():
-        session = ClientSession(fleet, origin="p0")
+        session = ClientSession(ResilientChannel(fleet), origin="p0")
         started = time.perf_counter()
         results = session.call_parallel(_grouped_requests())
         return time.perf_counter() - started, results
@@ -93,7 +93,7 @@ def test_parallel_dispatch_takes_max_not_sum(benchmark, report, fleet):
 def test_sequential_dispatch_is_sum_baseline(benchmark, report, fleet):
     """Contrast: one-at-a-time sends pay every peer's latency in full."""
     def dispatch():
-        session = ClientSession(fleet, origin="p0")
+        session = ClientSession(ResilientChannel(fleet), origin="p0")
         started = time.perf_counter()
         for destination, module, location, function, arity, calls, updating \
                 in _grouped_requests():

@@ -127,13 +127,6 @@ class HttpTransport(Transport):
         """Connection/traffic counters for one peer (observability)."""
         return self._pool.stats(self._resolve(peer_uri))
 
-    def send(self, destination: str, payload: str) -> str:
-        # Bare send has no fault-tolerance contract attached: assume the
-        # exchange is idempotent.  Callers that know better (updating
-        # RPCs) go through `exchange` with an explicit `retry_safe`
-        # verdict from the static analyzer — never a payload sniff.
-        return self.exchange(ExchangeSpec(destination, payload))
-
     def exchange(self, spec: ExchangeSpec) -> str:
         address = self._resolve(spec.destination)
         status, body = self._pool.request(

@@ -311,25 +311,15 @@ class ResilientChannel:
         self.breakers = breakers or BreakerRegistry()
         self.clock = clock or getattr(transport, "clock", None) or WallClock()
 
-    # -- single exchange -------------------------------------------------
-
     def exchange(self, destination: str,
                  build: Callable[[int, float | None], str],
                  parse: Callable[[str], Any],
                  retry_safe: bool = True,
                  deadline: Deadline | None = None,
                  events: NetEvents | None = None) -> Any:
-        """Run one exchange to completion under the full policy."""
+        """Run one exchange to completion: a batch of one."""
         entry = ChannelRequest(destination, build, parse, retry_safe)
-        attempt = 1
-        while True:
-            try:
-                return self._attempt(entry, attempt, deadline, events)
-            except TransportError as exc:
-                attempt = self._plan_retry(entry, attempt, exc,
-                                           deadline, events)
-
-    # -- batched exchanges ----------------------------------------------
+        return self.exchange_many([entry], deadline, events)[0]
 
     def exchange_many(self, entries: list[ChannelRequest],
                       deadline: Deadline | None = None,

@@ -1,6 +1,6 @@
 """Deterministic simulated network with a virtual clock.
 
-Each registered peer is a handler function; :meth:`SimulatedNetwork.send`
+Each registered peer is a handler function; :meth:`SimulatedNetwork.exchange`
 charges the transfer cost of the request, lets the handler run (handlers
 charge their own CPU costs against the same clock), then charges the
 transfer cost of the response.  ``exchange_many`` models the paper's
@@ -39,19 +39,19 @@ class SimulatedNetwork(Transport):
         """Attach a peer's request handler under its host key."""
         self._handlers[normalize_peer_uri(uri)] = handler
 
-    def send(self, destination: str, payload: str) -> str:
-        key = normalize_peer_uri(destination)
+    def exchange(self, spec: ExchangeSpec) -> str:
+        key = normalize_peer_uri(spec.destination)
         handler = self._handlers.get(key)
         if handler is None:
             # A peer that simply does not exist is a configuration
             # error: no amount of retrying will register it.
             raise FatalTransportError(
-                f"no peer registered at {destination!r} (key {key!r})")
+                f"no peer registered at {spec.destination!r} (key {key!r})")
         self.messages_sent += 1
-        request_bytes = len(payload.encode("utf-8"))
+        request_bytes = len(spec.payload.encode("utf-8"))
         self.bytes_sent += request_bytes
         self.clock.advance(self.cost_model.transfer_seconds(request_bytes))
-        response = handler(payload)
+        response = handler(spec.payload)
         response_bytes = len(response.encode("utf-8"))
         self.bytes_received += response_bytes
         self.message_log.append((key, request_bytes, response_bytes))

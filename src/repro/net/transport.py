@@ -49,19 +49,15 @@ class Transport(ABC):
     """Sends one SOAP message to a destination peer, returns the reply."""
 
     @abstractmethod
-    def send(self, destination: str, payload: str) -> str:
-        """Synchronous request/response exchange (HTTP POST semantics)."""
-
     def exchange(self, spec: ExchangeSpec) -> str:
-        """One exchange with its fault-tolerance contract attached.
+        """One synchronous request/response exchange (HTTP POST
+        semantics) with its fault-tolerance contract attached.
 
-        The base implementation ignores ``retry_safe``/``timeout`` and
-        delegates to :meth:`send`; transports that can honour them
+        Transports that can honour ``retry_safe``/``timeout`` do so
         (:class:`~repro.net.http.HttpTransport` maps ``timeout`` to the
         socket timeout and ``retry_safe`` to the stale-keep-alive retry
-        rule) override this.
+        rule); others may ignore them.
         """
-        return self.send(spec.destination, spec.payload)
 
     def exchange_many(self,
                       specs: list[ExchangeSpec]) -> list[str | TransportError]:

@@ -126,9 +126,10 @@ def _context_free_probe(expr: A.Expr) -> bool:
         return all(_context_free_probe(item) for item in expr.items)
     return False
 
-# dispatch(destination, module_uri, location, function, arity,
-#          calls, updating) -> list of result sequences, one per call
-Dispatch = Callable[..., list]
+# dispatch([(destination, module_uri, location, function, arity, calls,
+#            updating), ...]) -> one list of result sequences (one per
+# call) per request, in request order
+Dispatch = Callable[[list], list]
 
 # doc_resolver(uri) -> DocumentNode | None (same contract the
 # interpreter's DynamicContext uses).
@@ -189,8 +190,10 @@ class LoopLiftingCompiler:
     static:
         Static context for function-name resolution of ``execute at``.
     dispatch:
-        Callable shipping one bulk request; wired to a
-        :class:`~repro.rpc.client.ClientSession` in production.
+        Callable shipping a list of bulk requests, one per destination
+        peer, in parallel; wired to
+        :meth:`~repro.rpc.client.ClientSession.call_parallel` in
+        production.
     trace:
         Record the per-peer intermediate tables (map/req/msg/res) of
         every ``execute at`` translation — lets tests and the Figure 1
@@ -203,12 +206,9 @@ class LoopLiftingCompiler:
     def __init__(self, static: StaticContext,
                  dispatch: Optional[Dispatch] = None,
                  trace: bool = False,
-                 doc_resolver: Optional[DocResolver] = None,
-                 dispatch_parallel: Optional[Callable[[list], list]] = None,
-                 ) -> None:
+                 doc_resolver: Optional[DocResolver] = None) -> None:
         self.static = static
         self.dispatch = dispatch
-        self.dispatch_parallel = dispatch_parallel
         self.trace_enabled = trace
         self.trace: list[dict] = []
         self.doc_resolver = doc_resolver
@@ -790,7 +790,7 @@ class LoopLiftingCompiler:
                  for item in dst.project("item").distinct().column_values("item")]
 
         # Per-peer translation (Figure 2), requests gathered first so the
-        # dispatch layer can ship them in parallel.
+        # dispatch layer ships them in parallel.
         per_peer: list[dict] = []
         for peer in peers:
             selected = dst.fun(
@@ -800,23 +800,21 @@ class LoopLiftingCompiler:
                 "item").select("sel")
             mapping = selected.rownum("iterp", order_by=("iter",)) \
                               .project("iter", "iterp")
+            # rownum numbers iterp densely from 1, so call iterp-1 holds
+            # the parameters of iterp; each req table is sorted on
+            # (iterp, pos), so one pass appends every sequence in order.
+            calls: list[list[list]] = [[[] for _ in params]
+                                       for _ in mapping.rows]
             req_tables = []
-            for param in params:
+            for index, param in enumerate(params):
                 joined = mapping.join(param, "iter", "iter")
                 req = joined.rownum("newpos", order_by=("pos",),
                                     partition_by="iterp") \
                             .project("iterp", "pos:newpos", "item") \
                             .sort("iterp", "pos")
                 req_tables.append(req)
-            iterps = [row[mapping.col("iterp")] for row in mapping.rows]
-            calls = []
-            for iterp in sorted(iterps):
-                call_params = []
-                for req in req_tables:
-                    sequence = [item for it_p, pos, item in req.rows
-                                if it_p == iterp]
-                    call_params.append(sequence)
-                calls.append(call_params)
+                for iterp, _pos, item in req.rows:
+                    calls[iterp - 1][index].append(item)
             per_peer.append({
                 "peer": peer,
                 "map": mapping,
@@ -824,22 +822,13 @@ class LoopLiftingCompiler:
                 "calls": calls,
             })
 
-        # Ship one Bulk RPC per peer — fanned out in parallel across
-        # distinct destinations when the dispatch layer supports it
-        # (Figure 2's parallel dispatch).
-        if self.dispatch_parallel is not None and len(per_peer) > 1:
-            requests = [
-                (entry["peer"], uri, location, local, len(params),
-                 entry["calls"], updating)
-                for entry in per_peer
-            ]
-            all_results = self.dispatch_parallel(requests)
-        else:
-            all_results = [
-                self.dispatch(entry["peer"], uri, location, local,
-                              len(params), entry["calls"], updating)
-                for entry in per_peer
-            ]
+        # Ship one Bulk RPC per peer, fanned out in parallel across
+        # distinct destinations (Figure 2's parallel dispatch).
+        all_results = self.dispatch([
+            (entry["peer"], uri, location, local, len(params),
+             entry["calls"], updating)
+            for entry in per_peer
+        ])
         for entry, results in zip(per_peer, all_results):
             rows = []
             for iterp, sequence in enumerate(results, start=1):
@@ -880,16 +869,14 @@ class LoopLiftedQuery:
                  doc_resolver: Optional[DocResolver] = None,
                  compiled: Optional[CompiledQuery] = None,
                  context: Optional[ExecutionContext] = None) -> None:
-        dispatch_parallel = None
         if context is not None:
             dispatch = dispatch or context.dispatch
             doc_resolver = doc_resolver or context.doc_resolver
-            dispatch_parallel = context.dispatch_parallel
         self.compiled = compiled if compiled is not None \
             else CompiledQuery(source, registry)
         self.compiler = LoopLiftingCompiler(
             self.compiled.static, dispatch, trace=trace,
-            doc_resolver=doc_resolver, dispatch_parallel=dispatch_parallel)
+            doc_resolver=doc_resolver)
 
     @property
     def trace(self) -> list[dict]:

@@ -6,17 +6,16 @@ counts messages, and accumulates the participating-peer set piggybacked
 on responses — which the originating peer later registers with the 2PC
 coordinator.
 
-Fault tolerance: a session constructed with a
-:class:`~repro.net.retry.ResilientChannel` routes every exchange
-through the retry/breaker/deadline policy.  Each *attempt* carries a
-fresh exchange id (echoed by the server, so a stale duplicated response
-is detected rather than trusted) and the deadline's current remaining
-budget in the SOAP header.  Whether an exchange is ``retry_safe`` is the
-explicit ``updating`` verdict threaded from the caller — the static
-analyzer's updating-ness result — never a sniff of the payload text.
-Without a channel the session degrades to the direct single-attempt
-behaviour (still threading ``retry_safe`` into the transport's
-stale-keep-alive retry rule).
+Fault tolerance: every session sends through a
+:class:`~repro.net.retry.ResilientChannel`, so every exchange runs
+under its retry/breaker/deadline policy (a caller that wants a single
+attempt passes ``RetryPolicy(max_attempts=1)``).  Each *attempt*
+carries a fresh exchange id (echoed by the server, so a stale duplicated
+response is detected rather than trusted) and the deadline's current
+remaining budget in the SOAP header.  Whether an exchange is
+``retry_safe`` is the explicit ``updating`` verdict threaded from the
+caller — the static analyzer's updating-ness result — never a sniff of
+the payload text.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.errors import (RetryableTransportError, TransportError, XRPCFault,
-                          XRPCReproError)
+from repro.errors import RetryableTransportError, XRPCFault, XRPCReproError
 from repro.net.retry import ChannelRequest, Deadline, NetEvents, \
     ResilientChannel
-from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
+from repro.net.transport import normalize_peer_uri
 from repro.soap.messages import (
     QueryID,
     TxnCommand,
@@ -40,6 +38,11 @@ from repro.soap.messages import (
     build_txn_command,
     parse_message,
 )
+from repro.xdm.atomic import string as make_string
+
+#: Namespace of the system module every peer serves (``sys:get-doc``,
+#: ``sys:kw-search``).
+SYS_NS = "http://monetdb.cwi.nl/XQuery/sys"
 
 #: Process-wide exchange-id source.  Ids must be unique across sessions
 #: (a stale response cached by the network could otherwise collide with
@@ -54,34 +57,20 @@ def _next_exchange_id(origin: str) -> str:
 class ClientSession:
     """Per-query XRPC client state."""
 
-    def __init__(self, transport: Transport, origin: str,
+    def __init__(self, channel: ResilientChannel, origin: str,
                  query_id: Optional[QueryID] = None,
-                 channel: Optional[ResilientChannel] = None,
                  deadline: Optional[Deadline] = None,
                  events: Optional[NetEvents] = None) -> None:
-        self.transport = transport
+        self.channel = channel
         self.origin = origin
         self.query_id = query_id
-        self.channel = channel
         self.deadline = deadline
         self.events = events
         self.participants: list[str] = []
         self.messages_sent = 0
         self.calls_shipped = 0
 
-    # -- request construction ------------------------------------------------
-
-    def _make_request(self, module_uri: str, location: Optional[str],
-                      function: str, arity: int,
-                      updating: bool) -> XRPCRequest:
-        return XRPCRequest(
-            module=module_uri,
-            method=function,
-            arity=arity,
-            location=location,
-            query_id=self.query_id,
-            updating=updating,
-        )
+    # -- bookkeeping -------------------------------------------------------------
 
     def _record_participants(self, destination: str,
                              piggybacked: list[str]) -> None:
@@ -91,8 +80,7 @@ class ClientSession:
 
     # -- response decoding --------------------------------------------------
 
-    def _decode(self, raw: str, expected_id: Optional[str],
-                destination: str):
+    def _decode(self, raw: str, expected_id: str, destination: str):
         """Parse one reply, converting undecodable or mis-correlated
         bytes into retryable transport failures.
 
@@ -113,7 +101,7 @@ class ClientSession:
             raise RetryableTransportError(
                 f"undecodable response from {destination!r}: {exc}",
                 request_sent=True) from exc
-        if expected_id is not None and message.exchange_id is not None \
+        if message.exchange_id is not None \
                 and message.exchange_id != expected_id:
             raise RetryableTransportError(
                 f"response from {destination!r} answers exchange "
@@ -143,7 +131,7 @@ class ClientSession:
 
     def _channel_entry(self, destination: str, request: XRPCRequest,
                        calls: list, updating: bool,
-                       tolerate_faults: bool = False) -> ChannelRequest:
+                       tolerate_faults: bool) -> ChannelRequest:
         """One resilient exchange: fresh id + budget per attempt."""
 
         def build(attempt: int, remaining: Optional[float]) -> str:
@@ -175,27 +163,8 @@ class ClientSession:
 
         ``calls`` is a list of calls, each a list of parameter sequences.
         """
-        request = self._make_request(module_uri, location, function, arity,
-                                     updating)
-        for params in calls:
-            request.add_call(params)
-        self.messages_sent += 1
-        self.calls_shipped += len(calls)
-        if self.channel is not None:
-            entry = self._channel_entry(destination, request, calls, updating)
-            return self.channel.exchange(
-                destination, entry.build, entry.parse,
-                retry_safe=entry.retry_safe,
-                deadline=self.deadline, events=self.events)
-        # Direct single-attempt path (no resilience policy attached);
-        # retry-safety still reaches the transport's stale-keep-alive
-        # retry rule.
-        raw = self.transport.exchange(ExchangeSpec(
-            destination, build_request(request), retry_safe=not updating))
-        message = self._decode(raw, None, destination)
-        per_call = self._extract_results(message, calls, updating)
-        self._record_participants(destination, message.participating_peers)
-        return per_call
+        return self.call_parallel([(destination, module_uri, location,
+                                    function, arity, calls, updating)])[0]
 
     def call_parallel(self, grouped: list[tuple[str, str, Optional[str], str,
                                                 int, list[list[list]], bool]],
@@ -214,67 +183,37 @@ class ClientSession:
         placeholder-derived arguments and its *direct* re-send (with
         real arguments) is the authoritative attempt.
 
-        With ``capture_transport_errors`` (requires a channel) a request
-        whose *transport* failed terminally yields its
-        :class:`TransportError` in the result slot instead of raising —
-        the partial-results ("degrade") policy turns those slots into a
-        degraded-peers report.
+        With ``capture_transport_errors`` a request whose *transport*
+        failed terminally yields its :class:`TransportError` in the
+        result slot instead of raising — the partial-results ("degrade")
+        policy turns those slots into a degraded-peers report.
         """
-        if self.channel is not None:
-            return self._call_parallel_channel(grouped, tolerate_faults,
-                                               capture_transport_errors)
-        requests = []
-        specs = []
-        for destination, module_uri, location, function, arity, calls, \
-                updating in grouped:
-            request = self._make_request(module_uri, location, function,
-                                         arity, updating)
-            for params in calls:
-                request.add_call(params)
-            requests.append(request)
-            specs.append(ExchangeSpec(destination, build_request(request),
-                                      retry_safe=not updating))
-            self.messages_sent += 1
-            self.calls_shipped += len(calls)
-        raw_responses = self.transport.exchange_many(specs)
-        results: list = []
-        for (destination, _module, _location, _function, _arity, calls,
-             updating), raw in zip(grouped, raw_responses):
-            if isinstance(raw, TransportError):
-                if capture_transport_errors:
-                    results.append(raw)
-                    continue
-                raise raw
-            try:
-                message = self._decode(raw, None, destination)
-                per_call = self._extract_results(message, calls, updating)
-            except XRPCFault:
-                if tolerate_faults:
-                    results.append(None)
-                    continue
-                raise
-            self._record_participants(destination,
-                                      message.participating_peers)
-            results.append(per_call)
-        return results
-
-    def _call_parallel_channel(self, grouped, tolerate_faults: bool,
-                               capture_transport_errors: bool) -> list:
         entries = []
         for destination, module_uri, location, function, arity, calls, \
                 updating in grouped:
-            request = self._make_request(module_uri, location, function,
-                                         arity, updating)
+            request = XRPCRequest(
+                module=module_uri, method=function, arity=arity,
+                location=location, query_id=self.query_id, updating=updating)
             for params in calls:
                 request.add_call(params)
             self.messages_sent += 1
             self.calls_shipped += len(calls)
             entries.append(self._channel_entry(
-                destination, request, calls, updating,
-                tolerate_faults=tolerate_faults))
+                destination, request, calls, updating, tolerate_faults))
         return self.channel.exchange_many(
             entries, deadline=self.deadline, events=self.events,
             capture=capture_transport_errors)
+
+    def fetch_document(self, host: str, path: str):
+        """Data shipping: pull a whole document from a remote peer with
+        ``sys:get-doc``.  A reply that is not exactly one document is a
+        SOAP fault (``env:Receiver``)."""
+        [result] = self.call(host, SYS_NS, None, "get-doc", 1,
+                             [[[make_string(path)]]])
+        if len(result) != 1:
+            raise XRPCFault("env:Receiver",
+                            f"remote peer returned {len(result)} documents")
+        return result[0]
 
     # -- 2PC driver side ---------------------------------------------------------
 
@@ -294,16 +233,12 @@ class ClientSession:
             message = self._decode(raw, command.exchange_id, destination)
             return self._txn_reply(message, kind)
 
-        if self.channel is not None:
-            # Participant operations are idempotent on the server side
-            # (prepare re-entry is a no-op, commit/rollback replays are
-            # answered from the decision log), so retrying them is safe.
-            return self.channel.exchange(
-                destination, build, parse, retry_safe=True,
-                deadline=self.deadline, events=self.events)
-        raw = self.transport.exchange(ExchangeSpec(
-            destination, build_txn_command(command), retry_safe=True))
-        return self._txn_reply(self._decode(raw, None, destination), kind)
+        # Participant operations are idempotent on the server side
+        # (prepare re-entry is a no-op, commit/rollback replays are
+        # answered from the decision log), so retrying them is safe.
+        return self.channel.exchange(
+            destination, build, parse, retry_safe=True,
+            deadline=self.deadline, events=self.events)
 
     @staticmethod
     def _txn_reply(message, kind: str) -> TxnResult:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.errors import IsolationError, TransactionError
 from repro.rpc.store import DocumentStore, Snapshot
 from repro.soap.messages import QueryID
-from repro.xdm.nodes import DocumentNode
 from repro.xquf.pul import PendingUpdateList, apply_updates
 
 
@@ -141,7 +140,7 @@ class IsolationManager:
         state = self._state(query_id)
         if state.state == "prepared":
             return  # idempotent
-        touched = _uris_updated(state.pul, state.snapshot)
+        touched = state.pul.document_uris()
         conflicts = state.snapshot.has_conflicts(touched)
         if conflicts:
             state.state = "aborted"
@@ -168,7 +167,7 @@ class IsolationManager:
         if state.state not in ("active", "prepared"):
             raise TransactionError(
                 f"cannot commit from state {state.state!r}")
-        touched = _uris_updated(state.pul, state.snapshot)
+        touched = state.pul.document_uris()
         apply_updates(state.pul)
         state.snapshot.commit_into_store(touched)
         state.state = "committed"
@@ -194,13 +193,3 @@ class IsolationManager:
     def finish_read_only(self, query_id: QueryID) -> None:
         """Release the snapshot of a completed read-only query."""
         self._active.pop(query_id.key, None)
-
-
-def _uris_updated(pul: PendingUpdateList, snapshot: Snapshot) -> list[str]:
-    """Document URIs whose trees the PUL's primitives will mutate."""
-    uris: list[str] = []
-    for primitive in pul.primitives:
-        root = primitive.target.root()
-        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
-            uris.append(root.uri)
-    return uris

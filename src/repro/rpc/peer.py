@@ -26,14 +26,13 @@ from typing import Optional
 
 from repro.engine import Engine, MonetEngine
 from repro.engine.base import Explain
-from repro.errors import (DynamicError, TransactionError, TransportError,
-                          XRPCFault)
+from repro.errors import DynamicError, TransactionError, TransportError
 from repro.net.clock import WallClock
 from repro.net.cost import PeerCostModel
 from repro.net.retry import (NET_STATS, BreakerRegistry, Deadline, NetEvents,
                              ResilientChannel, RetryPolicy)
 from repro.net.transport import Transport, normalize_peer_uri
-from repro.rpc.client import ClientSession
+from repro.rpc.client import SYS_NS, ClientSession
 from repro.rpc.coordinator import TransactionCoordinator
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.server import XRPCServer
@@ -53,7 +52,6 @@ declare function sys:get-doc($uri as xs:string) as document-node()
 declare function sys:kw-search($terms as xs:string*) as node()*
 { () };
 """
-_SYS_NS = "http://monetdb.cwi.nl/XQuery/sys"
 
 
 @dataclass
@@ -159,7 +157,7 @@ class XRPCPeer:
         # a stub — the serving side intercepts calls to it by identity
         # (see run_function) and answers from the posting-list kernels.
         self._kw_search_decl = self.registry.by_namespace(
-            _SYS_NS).get_function("kw-search", 1)
+            SYS_NS).get_function("kw-search", 1)
         register = getattr(transport, "register_peer", None)
         if register is not None:
             register(self.host, self.server.handle)
@@ -239,24 +237,13 @@ class XRPCPeer:
                             "FODC0002",
                             f"cannot fetch remote document {uri!r} "
                             "without a client session")
-                    document = self.fetch_remote_document(host, path, session)
+                    document = session.fetch_document(host, path)
             else:
                 document = doc_view.get(uri)
             cache[uri] = document
             return document
 
         return resolve
-
-    def fetch_remote_document(self, host: str, path: str,
-                              session: ClientSession):
-        """Data shipping: pull a whole document from a remote peer."""
-        from repro.xdm.atomic import string as make_string
-        [result] = session.call(
-            host, _SYS_NS, None, "get-doc", 1, [[[make_string(path)]]])
-        if len(result) != 1:
-            raise XRPCFault("env:Receiver",
-                            f"remote peer returned {len(result)} documents")
-        return result[0]
 
     def _one_at_a_time_handler(self, session: ClientSession):
         def handle(call: RemoteCall) -> list:
@@ -336,9 +323,9 @@ class XRPCPeer:
         from repro.xdm.structural import ENCODING_STATS
 
         events = NetEvents()
-        session = ClientSession(self.transport, origin=self.host,
-                                query_id=query_id, channel=self.channel,
-                                deadline=deadline, events=events)
+        session = ClientSession(self.channel, origin=self.host,
+                                query_id=query_id, deadline=deadline,
+                                events=events)
         started = self.clock.now()
         encoding_before = ENCODING_STATS.snapshot_local()
 
@@ -398,7 +385,7 @@ class XRPCPeer:
             committed = True
         if pul:
             apply_updates(pul)
-            for uri in _touched_uris(pul):
+            for uri in pul.document_uris():
                 if self.store.contains(uri):
                     self.store.bump_version(uri)
         encoding_after = ENCODING_STATS.snapshot_local()
@@ -477,12 +464,11 @@ class XRPCPeer:
         events = NetEvents()
         deadline = None if timeout is None else \
             Deadline.after(timeout, self.clock)
-        session = ClientSession(self.transport, origin=self.host,
-                                channel=self.channel, deadline=deadline,
-                                events=events)
+        session = ClientSession(self.channel, origin=self.host,
+                                deadline=deadline, events=events)
         term_args = [[make_string(term) for term in terms]]
         requests = [
-            (peer, _SYS_NS, None, "kw-search", 1, [term_args], False)
+            (peer, SYS_NS, None, "kw-search", 1, [term_args], False)
             for peer in peers if peer != self.host]
         responses = session.call_parallel(
             requests, capture_transport_errors=degrade) if requests else []
@@ -526,8 +512,7 @@ class XRPCPeer:
         return ExecutionContext(
             doc_resolver=self.make_doc_resolver(self.store, session),
             variables=variables,
-            dispatch=self._session_dispatch(session),
-            dispatch_parallel=self._session_dispatch_parallel(session),
+            dispatch=session.call_parallel,
             xrpc_handler=self._one_at_a_time_handler(session),
             put_store=self.store.put,
             accelerator=self.engine.accelerator,
@@ -536,21 +521,6 @@ class XRPCPeer:
             apply_updates=False,  # the peer applies after (optional) 2PC
             deadline=session.deadline,
         )
-
-    def _session_dispatch(self, session: ClientSession):
-        """Lifted-plan Bulk RPC shipping bound to one client session."""
-        def dispatch(destination, module_uri, location, function, arity,
-                     calls, updating=False) -> list:
-            return session.call(destination, module_uri, location, function,
-                                arity, calls, updating=updating)
-
-        return dispatch
-
-    def _session_dispatch_parallel(self, session: ClientSession):
-        def dispatch_parallel(requests: list) -> list:
-            return session.call_parallel(requests)
-
-        return dispatch_parallel
 
     def _execute_direct(self, compiled: CompiledQuery, session: ClientSession,
                         context: ExecutionContext,
@@ -740,13 +710,3 @@ class _Replayer:
             call.destination, call.module_uri, call.location, call.function,
             call.arity, [call.args], updating=call.updating)
         return result
-
-
-def _touched_uris(pul: PendingUpdateList) -> list[str]:
-    from repro.xdm.nodes import DocumentNode
-    uris: list[str] = []
-    for primitive in pul.primitives:
-        root = primitive.target.root()
-        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
-            uris.append(root.uri)
-    return uris

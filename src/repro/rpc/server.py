@@ -138,8 +138,8 @@ class XRPCServer:
         # the (shrunken) deadline plus the peer's resilience channel.
         from repro.rpc.client import ClientSession
         nested_session = ClientSession(
-            peer.transport, origin=peer.host, query_id=request.query_id,
-            channel=peer.channel, deadline=deadline)
+            peer.channel, origin=peer.host, query_id=request.query_id,
+            deadline=deadline)
 
         results: list[list] = []
         collected_pul = PendingUpdateList()
@@ -174,7 +174,7 @@ class XRPCServer:
                     # Rule R_Fu: apply immediately, new current database
                     # state.
                     apply_updates(collected_pul)
-                    for uri in _touched_uris(collected_pul):
+                    for uri in collected_pul.document_uris():
                         if peer.store.contains(uri):
                             peer.store.bump_version(uri)
 
@@ -203,13 +203,3 @@ class XRPCServer:
             return build_txn_result(TxnResult(
                 kind=command.kind, ok=False, detail=str(exc),
                 exchange_id=command.exchange_id))
-
-
-def _touched_uris(pul: PendingUpdateList) -> list[str]:
-    from repro.xdm.nodes import DocumentNode
-    uris: list[str] = []
-    for primitive in pul.primitives:
-        root = primitive.target.root()
-        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
-            uris.append(root.uri)
-    return uris

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine import Engine, TreeEngine
-from repro.errors import XQueryError, XRPCReproError
+from repro.errors import XQueryError, XRPCFault, XRPCReproError
 from repro.net.retry import Deadline, ResilientChannel
+from repro.net.transport import normalize_peer_uri
+from repro.rpc.client import ClientSession
 from repro.rpc.store import DocumentStore
 from repro.soap.messages import build_fault, parse_request
 from repro.wrapper.codegen import (
@@ -72,7 +74,6 @@ class XRPCWrapper:
         # calls remain impossible, as the paper states.  Fetches run
         # through a resilience channel like every peer exchange, so
         # they get retries, breakers and the request's deadline.
-        self.transport = transport
         self.channel = (ResilientChannel(transport)
                         if transport is not None else None)
         self.host = host
@@ -192,19 +193,12 @@ class XRPCWrapper:
 
     def _fetch_remote(self, uri: str, deadline: Optional[Deadline]):
         """HTTP-style fetch of a remote document for fn:doc()."""
-        from repro.errors import XRPCFault
-        from repro.net.transport import normalize_peer_uri
-        from repro.rpc.client import ClientSession
-        from repro.xdm.atomic import string as make_string
-        if self.transport is None:
+        if self.channel is None:
             raise XRPCFault(
                 "env:Receiver",
                 f"wrapper has no transport to fetch {uri!r}")
         host = normalize_peer_uri(uri)
         path = uri.split(host, 1)[1].lstrip("/")
-        session = ClientSession(self.transport, origin=self.host,
-                                channel=self.channel, deadline=deadline)
-        [result] = session.call(
-            host, "http://monetdb.cwi.nl/XQuery/sys", None, "get-doc", 1,
-            [[[make_string(path)]]])
-        return result[0]
+        session = ClientSession(self.channel, origin=self.host,
+                                deadline=deadline)
+        return session.fetch_document(host, path)

@@ -66,24 +66,21 @@ class ExecutionContext:
     :class:`~repro.rpc.XRPCPeer`.
 
     The two remote hooks serve the two plan kinds: ``dispatch`` ships a
-    lifted plan's Bulk RPC groups (one call per (destination, function)
-    group, ``dispatch(dest, module_uri, location, function, arity,
-    calls, updating) -> results``), while ``xrpc_handler`` answers the
-    interpreter's one-at-a-time ``execute at`` (takes a
-    :class:`RemoteCall`).  Callers that can serve both — the peer — set
-    both; local sessions leave them ``None`` and queries containing
-    ``execute at`` fall back / fail exactly as before.
+    lifted plan's Bulk RPC messages — it takes a list of ``(destination,
+    module_uri, location, function, arity, calls, updating)`` requests,
+    one per destination peer, sends them in parallel and returns the
+    per-request result lists in order (the contract of
+    :meth:`~repro.rpc.client.ClientSession.call_parallel`) — while
+    ``xrpc_handler`` answers the interpreter's one-at-a-time ``execute
+    at`` (takes a :class:`RemoteCall`).  Callers that can serve both —
+    the peer — set both; local sessions leave them ``None`` and queries
+    containing ``execute at`` fall back / fail exactly as before.
     """
 
     doc_resolver: Optional[Callable[[str], "DocumentNode"]] = None
     variables: Optional[dict[str, list]] = None
     context_item: Any = None
-    dispatch: Optional[Callable[..., list]] = None
-    #: Optional parallel variant of ``dispatch``: takes a list of
-    #: ``(destination, module_uri, location, function, arity, calls,
-    #: updating)`` tuples, returns per-request results in order — lifted
-    #: plans use it to fan bulk messages out to distinct peers at once.
-    dispatch_parallel: Optional[Callable[[list], list]] = None
+    dispatch: Optional[Callable[[list], list]] = None
     xrpc_handler: Optional[Callable[[RemoteCall], list]] = None
     put_store: Optional[Callable[[str, Any], None]] = None
     accelerator: bool = True

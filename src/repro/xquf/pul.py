@@ -228,6 +228,17 @@ class PendingUpdateList:
         """Union with another PUL (Δ ∪ Δ'), order preserved per-list."""
         self.primitives.extend(other.primitives)
 
+    def document_uris(self) -> list[str]:
+        """URIs of the stored documents the primitives will mutate, in
+        first-touch order."""
+        uris: list[str] = []
+        for primitive in self.primitives:
+            root = primitive.target.root()
+            if isinstance(root, DocumentNode) and root.uri \
+                    and root.uri not in uris:
+                uris.append(root.uri)
+        return uris
+
     def __len__(self) -> int:
         return len(self.primitives)
 

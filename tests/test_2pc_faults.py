@@ -5,9 +5,9 @@ crash between prepare and commit, and decision replay on reconnect."""
 import pytest
 
 from repro.errors import RetryableTransportError, TransactionError
-from repro.net import SimulatedNetwork
+from repro.net import ResilientChannel, RetryPolicy, SimulatedNetwork
 from repro.net.faults import FaultInjectingTransport, FaultPlan
-from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
+from repro.net.transport import Transport, normalize_peer_uri
 from repro.rpc import TransactionCoordinator, XRPCPeer
 from repro.rpc.client import ClientSession
 from repro.rpc.isolation import IsolationManager
@@ -39,11 +39,18 @@ def journal(peer) -> list[str]:
     return [action for action, _ in peer.isolation.log.records]
 
 
+def single_attempt(transport, query_id):
+    """A client session that gives every exchange exactly one attempt."""
+    return ClientSession(
+        ResilientChannel(transport, policy=RetryPolicy(max_attempts=1)),
+        origin="p0", query_id=query_id)
+
+
 def start_updates(network, participants, value="4"):
     """Drive isolated updating calls so each participant holds a
     deferred PUL awaiting 2PC, exactly like the inline peer flow."""
     query_id = QueryID(host="p0", timestamp=network.clock.now(), timeout=60)
-    session = ClientSession(network, origin="p0", query_id=query_id)
+    session = single_attempt(network, query_id)
     for participant in participants:
         session.call(participant, "urn:counter", "c.xq", "bump", 1,
                      [[[make_string(value)]]], updating=True)
@@ -53,7 +60,7 @@ def start_updates(network, participants, value="4"):
 def make_coordinator(transport, query_id, participants=None):
     """A coordinator sending through its own client session; with
     *participants* it is resumed from a prepared record."""
-    session = ClientSession(transport, origin="p0", query_id=query_id)
+    session = single_attempt(transport, query_id)
     if participants is None:
         return TransactionCoordinator(session)
     return TransactionCoordinator.resume(session, participants)
@@ -73,9 +80,6 @@ class TxnTap(Transport):
         self.inner = inner
         self.unreachable_at_commit = unreachable_at_commit
         self.commands: list[tuple[str, str]] = []
-
-    def send(self, destination, payload):
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec):
         message = parse_message(spec.payload)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import XRPCFault
-from repro.net import SimulatedNetwork
+from repro.net import ResilientChannel, SimulatedNetwork
+from repro.net.transport import ExchangeSpec
 from repro.rpc import XRPCPeer
 from repro.rpc.client import ClientSession
 from repro.soap import parse_message
@@ -37,21 +38,21 @@ def site():
 class TestClientSession:
     def test_single_call(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         [result] = session.call("served", "urn:m", "m.xq", "add", 2,
                                 [[[integer(1)], [integer(2)]]])
         assert result == [integer(3)]
 
     def test_bulk_call_result_alignment(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         calls = [[[integer(i)], [integer(10)]] for i in range(5)]
         results = session.call("served", "urn:m", "m.xq", "add", 2, calls)
         assert results == [[integer(i + 10)] for i in range(5)]
 
     def test_sequence_parameter(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         [result] = session.call(
             "served", "urn:m", "m.xq", "first", 1,
             [[[string("a"), string("b"), string("c")]]])
@@ -59,13 +60,13 @@ class TestClientSession:
 
     def test_empty_sequence_parameter(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         [result] = session.call("served", "urn:m", "m.xq", "first", 1, [[[]]])
         assert result == []
 
     def test_message_counters(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         session.call("served", "urn:m", "m.xq", "add", 2,
                      [[[integer(1)], [integer(1)]],
                       [[integer(2)], [integer(2)]]])
@@ -74,20 +75,20 @@ class TestClientSession:
 
     def test_participants_exclude_origin(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         session.call("served", "urn:m", "m.xq", "add", 2,
                      [[[integer(1)], [integer(1)]]])
         assert session.participants == ["served"]
 
     def test_fault_raises(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         with pytest.raises(XRPCFault):
             session.call("served", "urn:nope", None, "f", 0, [[]])
 
     def test_wrong_arity_faults(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         with pytest.raises(XRPCFault):
             session.call("served", "urn:m", "m.xq", "add", 1, [[[integer(1)]]])
 
@@ -99,7 +100,7 @@ class TestClientSession:
         network = SimulatedNetwork()
         network.register_peer("srv", lambda payload: build_response(
             XRPCResponse(module="urn:m", method="f", results=[[]])))
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         with pytest.raises(XRPCFault, match="1 results"):
             session.call("srv", "urn:m", None, "f", 0, [[], []],
                          updating=True)
@@ -111,7 +112,7 @@ class TestClientSession:
         network = SimulatedNetwork()
         network.register_peer("srv", lambda payload: build_response(
             XRPCResponse(module="urn:m", method="f", results=[])))
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         results = session.call("srv", "urn:m", None, "f", 0, [[], []],
                                updating=True)
         assert results == [[], []]
@@ -138,7 +139,7 @@ class TestServerBehaviour:
 
     def test_request_counters(self, site):
         network, origin, server = site
-        session = ClientSession(network, origin="origin")
+        session = ClientSession(ResilientChannel(network), origin="origin")
         session.call("served", "urn:m", "m.xq", "add", 2,
                      [[[integer(1)], [integer(1)]]] * 3)
         assert server.server.requests_handled == 1
@@ -166,8 +167,8 @@ class TestTxnMessages:
         network, origin, server = site
         query_id = QueryID("origin", 1.0, 60)
         # Prepare with no active state -> polite negative vote.
-        raw = network.send("served",
-                           build_txn_command(TxnCommand("prepare", query_id)))
+        raw = network.exchange(ExchangeSpec(
+            "served", build_txn_command(TxnCommand("prepare", query_id))))
         reply = parse_message(raw)
         assert isinstance(reply, TxnResult)
         assert reply.ok is False
@@ -175,8 +176,8 @@ class TestTxnMessages:
     def test_rollback_unknown_txn_is_noop_success(self, site):
         network, origin, server = site
         query_id = QueryID("origin", 1.0, 60)
-        raw = network.send("served",
-                           build_txn_command(TxnCommand("rollback", query_id)))
+        raw = network.exchange(ExchangeSpec(
+            "served", build_txn_command(TxnCommand("rollback", query_id))))
         reply = parse_message(raw)
         assert isinstance(reply, TxnResult)
         assert reply.ok is True

@@ -22,7 +22,7 @@ from repro.net.retry import (
     ResilientChannel,
     RetryPolicy,
 )
-from repro.net.transport import ExchangeSpec, Transport
+from repro.net.transport import Transport
 from repro.rpc import XRPCPeer
 from repro.session import Database
 from tests.helpers import strings
@@ -35,9 +35,6 @@ class ScriptedTransport(Transport):
         self.outcomes = list(outcomes)
         self.clock = VirtualClock()
         self.exchanges = 0
-
-    def send(self, destination, payload):
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec):
         self.exchanges += 1
@@ -398,9 +395,6 @@ class _FlakyOnce(Transport):
         self.error = error or RetryableTransportError(
             "first attempt reset", request_sent=True)
         self.failed = set()
-
-    def send(self, destination, payload):
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec):
         key = spec.destination

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import TreeEngine
 from repro.errors import TransportError, XRPCFault
-from repro.net import HttpTransport, HttpXRPCServer
+from repro.net import HttpTransport, HttpXRPCServer, ResilientChannel
 from repro.net.transport import ExchangeSpec, normalize_peer_uri
 from repro.rpc import XRPCPeer
 from repro.soap import XRPCRequest, build_request, parse_response
@@ -40,7 +40,8 @@ class TestHttpRoundTrip:
             request = XRPCRequest(module="urn:echo", method="double",
                                   arity=1, location="e.xq")
             request.add_call([[integer(21)]])
-            raw = transport.send("xrpc://peer", build_request(request))
+            raw = transport.exchange(ExchangeSpec("xrpc://peer",
+                                                  build_request(request)))
             response = parse_response(raw)
             assert response.results == [[integer(42)]]
 
@@ -53,8 +54,8 @@ class TestHttpRoundTrip:
                                   arity=1, location="e.xq")
             for value in (1, 2, 3):
                 request.add_call([[integer(value)]])
-            response = parse_response(
-                transport.send("peer", build_request(request)))
+            response = parse_response(transport.exchange(
+                ExchangeSpec("peer", build_request(request))))
             assert response.results == [[integer(2)], [integer(4)], [integer(6)]]
 
     def test_fault_over_http(self):
@@ -63,14 +64,14 @@ class TestHttpRoundTrip:
             transport = HttpTransport({"peer": server.address})
             request = XRPCRequest(module="ghost", method="f", arity=0)
             request.add_call([])
-            raw = transport.send("peer", build_request(request))
+            raw = transport.exchange(ExchangeSpec("peer", build_request(request)))
             with pytest.raises(XRPCFault):
                 parse_response(raw)
 
     def test_unreachable_peer(self):
         transport = HttpTransport({"peer": "127.0.0.1:1"})  # closed port
         with pytest.raises(TransportError):
-            transport.send("peer", "<x/>")
+            transport.exchange(ExchangeSpec("peer", "<x/>"))
 
     def test_keep_alive_connection_reuse(self):
         """Repeated sends to one peer ride a single pooled connection."""
@@ -83,7 +84,8 @@ class TestHttpRoundTrip:
                 request.add_call([[integer(3)]])
                 payload = build_request(request)
                 for _ in range(5):
-                    parse_response(transport.send("peer", payload))
+                    parse_response(transport.exchange(
+                        ExchangeSpec("peer", payload)))
                 stats = transport.peer_stats("peer")
                 assert stats.requests == 5
                 assert stats.connections_opened == 1
@@ -94,7 +96,7 @@ class TestHttpRoundTrip:
         transport = HttpTransport({"peer": "127.0.0.1:1"})
         transport.close()
         with pytest.raises(TransportError, match="closed"):
-            transport.send("peer", "<x/>")
+            transport.exchange(ExchangeSpec("peer", "<x/>"))
 
     def test_non_soap_error_body_raises_transport_error(self):
         """An HTML 404 from a misconfigured endpoint must surface as a
@@ -125,7 +127,7 @@ class TestHttpRoundTrip:
             host, port = httpd.server_address[:2]
             with HttpTransport({"peer": f"{host}:{port}"}) as transport:
                 with pytest.raises(TransportError, match="non-SOAP"):
-                    transport.send("peer", "<x/>")
+                    transport.exchange(ExchangeSpec("peer", "<x/>"))
         finally:
             httpd.shutdown()
             httpd.server_close()
@@ -206,7 +208,7 @@ class TestConcurrentParallelDispatch:
         broken_server = HttpXRPCServer(broken.server.handle).start()
         transport.register_endpoint("broken", broken_server.address)
         try:
-            session = ClientSession(transport, origin="p0")
+            session = ClientSession(ResilientChannel(transport), origin="p0")
             results = session.call_parallel(
                 [("peer0", "urn:echo", "e.xq", "double", 1,
                   [[[integer(1)]]], False),

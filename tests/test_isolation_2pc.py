@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IsolationError, TransactionError
-from repro.net import SimulatedNetwork
+from repro.net import ResilientChannel, SimulatedNetwork
 from repro.rpc import TransactionCoordinator, XRPCPeer
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.store import DocumentStore
@@ -229,7 +229,7 @@ class TestCoordinator:
         # Manually drive one updating call with isolation.
         from repro.rpc.client import ClientSession
         from repro.xdm.atomic import string as make_string
-        session = ClientSession(network, origin="p0", query_id=query_id)
+        session = ClientSession(ResilientChannel(network), origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
                      [[[make_string("4")]]], updating=True)
 
@@ -248,7 +248,7 @@ class TestCoordinator:
         query_id = QueryID(host="p0", timestamp=0.0, timeout=60)
         from repro.rpc.client import ClientSession
         from repro.xdm.atomic import string as make_string
-        session = ClientSession(network, origin="p0", query_id=query_id)
+        session = ClientSession(ResilientChannel(network), origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
                      [[[make_string("4")]]], updating=True)
         coordinator = TransactionCoordinator(session)
@@ -262,7 +262,7 @@ class TestCoordinator:
         query_id = QueryID(host="p0", timestamp=0.0, timeout=60)
         from repro.rpc.client import ClientSession
         coordinator = TransactionCoordinator(
-            ClientSession(network, origin="p0", query_id=query_id))
+            ClientSession(ResilientChannel(network), origin="p0", query_id=query_id))
         with pytest.raises(TransactionError):
             coordinator.commit()
 
@@ -273,7 +273,7 @@ class TestCoordinator:
         query_id = QueryID(host="p0", timestamp=0.0, timeout=60)
         from repro.rpc.client import ClientSession
         from repro.xdm.atomic import string as make_string
-        session = ClientSession(network, origin="p0", query_id=query_id)
+        session = ClientSession(ResilientChannel(network), origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
                      [[[make_string("4")]]], updating=True)
         coordinator = TransactionCoordinator(session)

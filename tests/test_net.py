@@ -72,19 +72,19 @@ class TestSimulatedNetwork:
         network = SimulatedNetwork(NetworkCostModel(
             latency_seconds=0.01, bandwidth_bytes_per_second=1e9))
         network.register_peer("b", lambda payload: payload)
-        network.send("b", "x" * 100)
+        network.exchange(ExchangeSpec("b", "x" * 100))
         # Two transfers => two latencies (plus negligible byte time).
         assert network.clock.now() == pytest.approx(0.02, rel=0.01)
 
     def test_unknown_peer(self):
         network = SimulatedNetwork()
         with pytest.raises(TransportError):
-            network.send("ghost", "payload")
+            network.exchange(ExchangeSpec("ghost", "payload"))
 
     def test_stats_tracking(self):
         network = SimulatedNetwork()
         network.register_peer("b", lambda payload: "ok")
-        network.send("b", "12345")
+        network.exchange(ExchangeSpec("b", "12345"))
         assert network.messages_sent == 1
         assert network.bytes_sent == 5
         assert network.bytes_received == 2
@@ -102,7 +102,7 @@ class TestSimulatedNetwork:
 
         network.register_peer("b", busy_handler)
         start = network.clock.now()
-        network.send("b", "x")
+        network.exchange(ExchangeSpec("b", "x"))
         assert network.clock.now() - start == pytest.approx(0.5, rel=0.01)
 
     def test_parallel_dispatch_takes_max_not_sum(self):
@@ -138,6 +138,6 @@ class TestSimulatedNetwork:
 
         network.register_peer("s", slow)
         start = network.clock.now()
-        network.send("s", "a")
-        network.send("s", "b")
+        network.exchange(ExchangeSpec("s", "a"))
+        network.exchange(ExchangeSpec("s", "b"))
         assert network.clock.now() - start == pytest.approx(2.0, rel=0.01)

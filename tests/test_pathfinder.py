@@ -9,6 +9,8 @@ from tests.helpers import strings, values
 FILM_MODULE = """
 module namespace f = "films";
 declare function f:filmsByActor($actor as xs:string) as node()* { () };
+declare function f:echo($xs as item()*, $ys as item()*, $zs as item()*)
+    as item()* { $xs };
 """
 
 
@@ -79,14 +81,19 @@ class TestLoopLiftedExecuteAt:
     }
 
     def _dispatch(self, log):
-        def dispatch(peer, module, location, function, arity, calls, updating):
+        def dispatch(requests):
             from repro.net.transport import normalize_peer_uri
-            key = normalize_peer_uri(peer)
-            log.append((key, [c[0][0].string_value() for c in calls]))
-            return [
-                [string(name) for name in self.FILMS[(key, c[0][0].string_value())]]
-                for c in calls
-            ]
+            results = []
+            for peer, module, location, function, arity, calls, \
+                    updating in requests:
+                key = normalize_peer_uri(peer)
+                log.append((key, [c[0][0].string_value() for c in calls]))
+                results.append([
+                    [string(name)
+                     for name in self.FILMS[(key, c[0][0].string_value())]]
+                    for c in calls
+                ])
+            return results
         return dispatch
 
     def test_one_bulk_request_per_peer(self):
@@ -168,6 +175,38 @@ class TestLoopLiftedExecuteAt:
         result = query.run()
         assert len(log) == 1  # the paper's Q2: one bulk message total
         assert values(result) == ["The Rock", "Goldfinger"]
+
+    def test_multi_item_parameters_rebuilt_per_call(self):
+        """Each call's parameters are rebuilt from the req tables in pos
+        order, whatever their length (including empty), and each peer
+        receives only its own iterations' calls."""
+        shipped = {}
+
+        def dispatch(requests):
+            from repro.net.transport import normalize_peer_uri
+            results = []
+            for peer, module, location, function, arity, calls, \
+                    updating in requests:
+                shipped[normalize_peer_uri(peer)] = [
+                    [values(param) for param in call] for call in calls]
+                results.append([call[0] for call in calls])
+            return results
+
+        query_text = """
+        import module namespace f="films" at "film.xq";
+        for $dst at $i in ("xrpc://y.example.org", "xrpc://z.example.org",
+                           "xrpc://y.example.org")
+        return execute at {$dst} { f:echo(($i, $i * 10, $i * 100), (), "z") }
+        """
+        query = LoopLiftedQuery(query_text, registry=make_registry(),
+                                dispatch=dispatch)
+        result = query.run()
+        assert shipped == {
+            "y.example.org": [[[1, 10, 100], [], ["z"]],
+                              [[3, 30, 300], [], ["z"]]],
+            "z.example.org": [[[2, 20, 200], [], ["z"]]],
+        }
+        assert values(result) == [1, 10, 100, 2, 20, 200, 3, 30, 300]
 
     def test_position_variable(self):
         query = LoopLiftedQuery(

@@ -5,10 +5,10 @@ import pytest
 from repro.engine import TreeEngine
 from repro.errors import RetryableTransportError, XRPCFault
 from repro.net import SimulatedNetwork
-from repro.net.transport import ExchangeSpec, Transport
+from repro.net.transport import Transport
 from repro.rpc import XRPCPeer
 from repro.soap import XRPCRequest, build_request, parse_response
-from repro.soap.messages import parse_message
+from repro.soap.messages import XRPCResponse, build_response, parse_message
 from repro.wrapper import XRPCWrapper, generate_wrapper_query
 from repro.xdm import integer, string, xs
 from tests.helpers import values, xml
@@ -174,9 +174,6 @@ class DropFirstGetDoc(Transport):
         self.inner = inner
         self.dropped = 0
 
-    def send(self, destination, payload):
-        return self.exchange(ExchangeSpec(destination, payload))
-
     def exchange(self, spec):
         if not self.dropped \
                 and parse_message(spec.payload).method == "get-doc":
@@ -207,3 +204,24 @@ class TestWrapperRemoteDocuments:
         response = parse_response(wrapper.handle(build_request(request)))
         assert values(response.results[0]) == [3]
         assert lossy.dropped == 1
+
+    def test_get_doc_reply_without_a_document_is_a_soap_fault(self):
+        # A remote answering sys:get-doc with no document must surface
+        # as a SOAP fault from the wrapper, not as an internal error.
+        network = SimulatedNetwork()
+        network.register_peer("docs.example.org", lambda payload:
+                              build_response(XRPCResponse(
+                                  module="http://monetdb.cwi.nl/XQuery/sys",
+                                  method="get-doc", results=[[]])))
+        wrapper = XRPCWrapper(engine=TreeEngine(), transport=network,
+                              host="saxon.example.org")
+        wrapper.engine.registry.register_source("""
+        module namespace r = "remote";
+        declare function r:people($uri as xs:string) as xs:integer
+        { count(doc($uri)//person) };
+        """, location="remote.xq")
+        request = XRPCRequest(module="remote", method="people", arity=1,
+                              location="remote.xq")
+        request.add_call([[string("xrpc://docs.example.org/people.xml")]])
+        with pytest.raises(XRPCFault, match="returned 0 documents"):
+            parse_response(wrapper.handle(build_request(request)))
