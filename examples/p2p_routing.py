@@ -77,7 +77,7 @@ def main() -> None:
         print(f"{title!r}: actor={answer.string_value()!r} "
               f"(answered by {answer.get_attribute('peer').value} "
               f"after {answer.get_attribute('hops').value} hop(s); "
-              f"plan: {result.plan}; "
+              f"plan: {result.explain().plan}; "
               f"peers seen by the origin: {result.participants})")
 
     print("\nEvery hop carried the same queryID, so the whole lookup ran "

@@ -70,7 +70,7 @@ def main() -> None:
     print("Q1 (single call):")
     print(" ", serialize_sequence(result.sequence))
     print(f"  messages sent: {result.messages_sent} "
-          f"(plan: {result.plan})\n")
+          f"(plan: {result.explain().plan})\n")
 
     # --- Q2: a call inside a for-loop => ONE bulk message ----------------
     q2 = f"""
@@ -113,7 +113,7 @@ def main() -> None:
     result = p0.execute_query(q4)
     print("\nQ4 (bare loop, loop-lifted plan):")
     print(" ", serialize_sequence(result.sequence))
-    print(f"  plan: {result.plan}, messages sent: {result.messages_sent}")
+    print(f"  plan: {result.explain().plan}, messages sent: {result.messages_sent}")
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ def main() -> None:
     print("After immediate update, bankA balance:",
           bank_a.store.get("account.xml").root_element
           .find("balance").string_value())
-    print(f"  (plan: {result.plan} — updating remote calls route through "
+    print(f"  (plan: {result.explain().plan} — updating remote calls route through "
           "the record-then-ship batching executor, never speculatively)")
 
     # --- 2. Atomic distributed transfer (rule R'_Fu + 2PC) ---------------

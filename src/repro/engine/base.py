@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis import QueryProperties, analyze_compiled
+from repro.obs import tally
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
@@ -34,35 +35,20 @@ class Explain:
     :class:`~repro.pathfinder.compiler.UnsupportedExpression`) — the
     key the engine's per-reason fallback histogram counts under.
 
-    ``reencodes_full`` / ``reencodes_subtree`` / ``gap_respreads`` /
-    ``index_patches`` are *this execution's* deltas of the
-    :data:`~repro.xdm.structural.ENCODING_STATS` counters (taken
-    against the executing thread's totals, so concurrent executions
-    never attribute each other's work) — what the update path actually
-    cost: a splice that stayed on the O(change) fast path counts under
-    ``reencodes_subtree`` + ``index_patches``, while ``reencodes_full``
-    flags the whole-tree fallback.
-
-    ``documents_parsed`` / ``parse_fallbacks`` are the same per-thread
-    delta discipline over :data:`~repro.xml.stats.PARSE_STATS`: how many
-    documents the parse frontend built during this execution (fn:doc on
-    cold URIs, shipped Bulk RPC messages) and how many of those fell
-    back from expat to the pure-python parser.
-
-    ``postings_built`` / ``postings_patched`` / ``search_queries`` /
-    ``postings_hits`` are the keyword-search deltas
-    (:data:`~repro.search.stats.SEARCH_STATS`): term postings
-    materialized by full :class:`~repro.search.index.TermIndex` builds
-    versus maintained incrementally by the PUL hooks, posting-list
-    query plans served (lifted ``contains`` prefilters), and the
-    results they surfaced.
-
-    ``net_retries`` / ``net_giveups`` / ``net_breaker_opens`` /
-    ``net_breaker_fast_fails`` / ``net_deadline_expired`` /
-    ``net_degraded_peers`` are the fault-tolerance deltas
-    (:data:`~repro.net.retry.NET_STATS`): what the retry/backoff,
-    circuit-breaker, deadline, and partial-results machinery did while
-    this execution's exchanges were in flight.
+    ``counters`` is the execution's :func:`~repro.obs.tally`: every
+    counter bumped while it ran, by field name (a missing name reads
+    0).  The groups are :data:`~repro.xdm.structural.ENCODING_STATS`
+    (what the update path cost: a splice on the O(change) fast path
+    counts under ``reencodes_subtree`` + ``index_patches``, while
+    ``reencodes_full`` flags the whole-tree fallback),
+    :data:`~repro.xml.parser.PARSE_STATS` (documents the parse frontend
+    built — fn:doc on cold URIs, Bulk RPC replies — and expat-to-python
+    fallbacks), :data:`~repro.search.stats.SEARCH_STATS` (postings
+    built versus patched, posting-list plans served and their hits) and
+    :data:`~repro.net.retry.NET_STATS` (what the retry, breaker,
+    deadline and partial-results machinery did).  Work a remote peer
+    did for this execution is charged to that peer, whatever the
+    transport.
     """
 
     plan: str
@@ -71,22 +57,7 @@ class Explain:
     execute_seconds: float
     cache_hit: bool
     fallback_code: Optional[str] = None
-    reencodes_full: int = 0
-    reencodes_subtree: int = 0
-    gap_respreads: int = 0
-    index_patches: int = 0
-    documents_parsed: int = 0
-    parse_fallbacks: int = 0
-    postings_built: int = 0
-    postings_patched: int = 0
-    search_queries: int = 0
-    postings_hits: int = 0
-    net_retries: int = 0
-    net_giveups: int = 0
-    net_breaker_opens: int = 0
-    net_breaker_fast_fails: int = 0
-    net_deadline_expired: int = 0
-    net_degraded_peers: int = 0
+    counters: Counter[str] = field(default_factory=Counter)
     #: The prepare-time static analysis report (liftability prediction,
     #: updating-ness, site profile, semantic diagnostics) — memoized on
     #: the compiled query, so a plan-cache hit reattaches it for free.
@@ -103,38 +74,30 @@ class Explain:
         lines.append(f"plan cache: {'hit' if self.cache_hit else 'miss'}")
         lines.append(f"compile: {self.compile_seconds * 1000.0:.3f} ms")
         lines.append(f"execute: {self.execute_seconds * 1000.0:.3f} ms")
-        if (self.reencodes_full or self.reencodes_subtree
-                or self.gap_respreads or self.index_patches):
-            lines.append(
-                "updates: "
-                f"reencode full={self.reencodes_full} "
-                f"subtree={self.reencodes_subtree} "
-                f"respreads={self.gap_respreads} "
-                f"index patches={self.index_patches}")
-        if self.documents_parsed or self.parse_fallbacks:
-            lines.append(
-                "parse: "
-                f"documents={self.documents_parsed} "
-                f"fallbacks={self.parse_fallbacks}")
-        if (self.postings_built or self.postings_patched
-                or self.search_queries or self.postings_hits):
-            lines.append(
-                "search: "
-                f"postings built={self.postings_built} "
-                f"patched={self.postings_patched} "
-                f"queries={self.search_queries} "
-                f"hits={self.postings_hits}")
-        if (self.net_retries or self.net_giveups or self.net_breaker_opens
-                or self.net_breaker_fast_fails or self.net_deadline_expired
-                or self.net_degraded_peers):
-            lines.append(
-                "net: "
-                f"retries={self.net_retries} "
-                f"giveups={self.net_giveups} "
-                f"breaker opens={self.net_breaker_opens} "
-                f"fast fails={self.net_breaker_fast_fails} "
-                f"deadline expired={self.net_deadline_expired} "
-                f"degraded peers={self.net_degraded_peers}")
+        counts = self.counters
+        groups = (
+            ("updates", (("reencode full", counts["reencodes_full"]),
+                         ("subtree", counts["reencodes_subtree"]),
+                         ("respreads", counts["gap_respreads"]),
+                         ("index patches", counts["index_patches"]))),
+            ("parse", (("documents", counts["documents_expat"]
+                        + counts["documents_python"]),
+                       ("fallbacks", counts["fallbacks_to_python"]))),
+            ("search", (("postings built", counts["postings_built"]),
+                        ("patched", counts["postings_patched"]),
+                        ("queries", counts["search_queries"]),
+                        ("hits", counts["postings_hits"]))),
+            ("net", (("retries", counts["retries"]),
+                     ("giveups", counts["retry_giveups"]),
+                     ("breaker opens", counts["breaker_opens"]),
+                     ("fast fails", counts["breaker_fast_fails"]),
+                     ("deadline expired", counts["deadline_expired"]),
+                     ("degraded peers", counts["degraded_peers"]))),
+        )
+        for title, items in groups:
+            if any(value for _, value in items):
+                lines.append(f"{title}: " + " ".join(
+                    f"{label}={value}" for label, value in items))
         return "\n".join(lines)
 
 
@@ -252,11 +215,6 @@ class Engine:
         :class:`~repro.xquery.context.RemoteCall`).  The attempt and its
         outcome are returned as the :class:`Explain`.
         """
-        from repro.net.retry import NET_STATS
-        from repro.search.stats import SEARCH_STATS
-        from repro.xdm.structural import ENCODING_STATS
-        from repro.xml.stats import PARSE_STATS
-
         # A missing context inherits the engine's own configuration.
         options = context if context is not None else ExecutionContext(
             accelerator=self.accelerator,
@@ -264,69 +222,25 @@ class Engine:
         compiled, compile_seconds, cache_hit = self.compile_with_stats(source)
         analysis = self.analyze(compiled, options)
         started = time.perf_counter()
-        # Thread-local basis: concurrent executions must not attribute
-        # each other's update costs (apply_updates runs synchronously on
-        # this thread, so its bumps land in this thread's counters).
-        encoding_before = ENCODING_STATS.snapshot_local()
-        parse_before = PARSE_STATS.snapshot_local()
-        search_before = SEARCH_STATS.snapshot_local()
-        net_before = NET_STATS.snapshot_local()
-
-        def update_deltas() -> dict:
-            after = ENCODING_STATS.snapshot_local()
-            deltas = {
-                field: after[field] - encoding_before[field]
-                for field in ("reencodes_full", "reencodes_subtree",
-                              "gap_respreads", "index_patches")}
-            parse_after = PARSE_STATS.snapshot_local()
-            deltas["documents_parsed"] = (
-                parse_after["documents_expat"]
-                + parse_after["documents_python"]
-                - parse_before["documents_expat"]
-                - parse_before["documents_python"])
-            deltas["parse_fallbacks"] = (
-                parse_after["fallbacks_to_python"]
-                - parse_before["fallbacks_to_python"])
-            search_after = SEARCH_STATS.snapshot_local()
-            for field in ("postings_built", "postings_patched",
-                          "search_queries", "postings_hits"):
-                deltas[field] = search_after[field] - search_before[field]
-            net_after = NET_STATS.snapshot_local()
-            for field, source in (("net_retries", "retries"),
-                                  ("net_giveups", "retry_giveups"),
-                                  ("net_breaker_opens", "breaker_opens"),
-                                  ("net_breaker_fast_fails",
-                                   "breaker_fast_fails"),
-                                  ("net_deadline_expired",
-                                   "deadline_expired"),
-                                  ("net_degraded_peers", "degraded_peers")):
-                deltas[field] = net_after[source] - net_before[source]
-            return deltas
-
-        fallback_reason = None
-        fallback_code = None
-        if options.try_lifted:
-            result, fallback_reason, fallback_code = self.attempt_lifted(
-                source, compiled, options)
-            if fallback_reason is None:
-                self.record_plan("lifted", None)
-                return result, Explain(
-                    plan="lifted", fallback_reason=None,
-                    compile_seconds=compile_seconds,
-                    execute_seconds=time.perf_counter() - started,
-                    cache_hit=cache_hit, analysis=analysis,
-                    **update_deltas())
-        self.record_plan("interpreter", fallback_reason, fallback_code)
-        result, pul = compiled.run(options)
-        if pul and options.apply_updates:
-            from repro.xquf.pul import apply_updates
-            apply_updates(pul)
+        with tally() as counts:
+            plan, fallback_reason, fallback_code = "interpreter", None, None
+            if options.try_lifted:
+                result, fallback_reason, fallback_code = self.attempt_lifted(
+                    source, compiled, options)
+                if fallback_reason is None:
+                    plan = "lifted"
+            self.record_plan(plan, fallback_reason, fallback_code)
+            if plan == "interpreter":
+                result, pul = compiled.run(options)
+                if pul and options.apply_updates:
+                    from repro.xquf.pul import apply_updates
+                    apply_updates(pul)
         return result, Explain(
-            plan="interpreter", fallback_reason=fallback_reason,
+            plan=plan, fallback_reason=fallback_reason,
             compile_seconds=compile_seconds,
             execute_seconds=time.perf_counter() - started,
             cache_hit=cache_hit, fallback_code=fallback_code,
-            analysis=analysis, **update_deltas())
+            counters=counts, analysis=analysis)
 
     def analyze(self, compiled: CompiledQuery,
                 context: Optional[ExecutionContext] = None,

@@ -94,8 +94,8 @@ class ThroughputExperiment:
         # construction / fn:count), so the unified pipeline must have
         # fallen back with a recorded reason — assert the telemetry so
         # the shape can't silently change.
-        assert result.plan == "interpreter"
-        assert result.fallback_reason is not None
+        assert result.explain().plan == "interpreter"
+        assert result.explain().fallback_reason is not None
         payload = network.bytes_sent if direction == "request" \
             else network.bytes_received
         return ThroughputRow(

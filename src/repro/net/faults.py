@@ -80,7 +80,7 @@ class FaultInjectingTransport(Transport):
     """Wraps a transport, injecting the plan's faults per exchange.
 
     ``injected`` counts what actually fired per kind (also bumped into
-    ``NET_STATS.faults_injected``), so tests can assert the schedule
+    ``faults_injected`` in ``NET_STATS``), so tests can assert the schedule
     really exercised the retry machinery rather than passing vacuously.
     Attribute access falls through to the wrapped transport
     (``register_peer``, ``clock``, ``message_log``, ...), so the wrapper

@@ -3,13 +3,17 @@
 Each registered peer is a handler function; :meth:`SimulatedNetwork.exchange`
 charges the transfer cost of the request, lets the handler run (handlers
 charge their own CPU costs against the same clock), then charges the
-transfer cost of the response.  ``exchange_many`` models the paper's
+transfer cost of the response.  The handler runs in a fresh
+:class:`contextvars.Context`, as a server thread would run it over HTTP,
+so its counter bumps are charged to the callee and never to the
+caller's :func:`~repro.obs.tally`.  ``exchange_many`` models the paper's
 parallel dispatch of Bulk RPC requests to multiple peers: the clock
 advances by the *maximum* branch time, not the sum.
 """
 
 from __future__ import annotations
 
+from contextvars import Context
 from typing import Callable
 
 from repro.errors import FatalTransportError, TransportError
@@ -51,7 +55,7 @@ class SimulatedNetwork(Transport):
         request_bytes = len(spec.payload.encode("utf-8"))
         self.bytes_sent += request_bytes
         self.clock.advance(self.cost_model.transfer_seconds(request_bytes))
-        response = handler(spec.payload)
+        response = Context().run(handler, spec.payload)
         response_bytes = len(response.encode("utf-8"))
         self.bytes_received += response_bytes
         self.message_log.append((key, request_bytes, response_bytes))

@@ -238,7 +238,7 @@ class ClientSession:
         # answered from the decision log), so retrying them is safe.
         return self.channel.exchange(
             destination, build, parse, retry_safe=True,
-            deadline=self.deadline, events=self.events)
+            deadline=self.deadline)
 
     @staticmethod
     def _txn_reply(message, kind: str) -> TxnResult:

@@ -32,6 +32,7 @@ from repro.net.cost import PeerCostModel
 from repro.net.retry import (NET_STATS, BreakerRegistry, Deadline, NetEvents,
                              ResilientChannel, RetryPolicy)
 from repro.net.transport import Transport, normalize_peer_uri
+from repro.obs import tally
 from repro.rpc.client import SYS_NS, ClientSession
 from repro.rpc.coordinator import TransactionCoordinator
 from repro.rpc.isolation import IsolationManager
@@ -56,59 +57,30 @@ declare function sys:kw-search($terms as xs:string*) as node()*
 
 @dataclass
 class QueryResult:
-    """Outcome of one originated query, with execution statistics."""
+    """Outcome of one originated query, with execution statistics.
+
+    ``telemetry`` is the :class:`Explain` the execution built (plan,
+    fallback, compile time, static analysis and the query's counter
+    tally); :meth:`explain` returns it.  ``degraded`` and
+    ``failed_peers`` report the partial-results policy
+    (``on_peer_failure="degrade"``): the peers whose answers are
+    missing from ``sequence``.
+    """
 
     sequence: list
     elapsed_seconds: float
     messages_sent: int
     calls_shipped: int
+    telemetry: Explain
     participants: list[str] = field(default_factory=list)
     used_bulk_rpc: bool = False
     committed_2pc: bool = False
-    # Unified-pipeline telemetry (the session API's explain surface).
-    plan: Optional[str] = None            # "lifted" | "interpreter"
-    fallback_reason: Optional[str] = None
-    fallback_code: Optional[str] = None
-    compile_seconds: float = 0.0
-    cache_hit: bool = False
-    # Update-path cost of this query's local PUL application (deltas of
-    # the executing thread's ENCODING_STATS, like Engine.execute).
-    reencodes_full: int = 0
-    reencodes_subtree: int = 0
-    gap_respreads: int = 0
-    index_patches: int = 0
-    # Fault-tolerance outcome: peers skipped under the partial-results
-    # policy (``on_peer_failure="degrade"``) and this query's share of
-    # the net-layer event counters (from its NetEvents sink).
     degraded: bool = False
     failed_peers: list[str] = field(default_factory=list)
-    net_retries: int = 0
-    net_giveups: int = 0
-    net_breaker_opens: int = 0
-    net_breaker_fast_fails: int = 0
-    net_deadline_expired: int = 0
-    net_degraded_peers: int = 0
 
     def explain(self) -> Explain:
         """Plan telemetry in the session API's :class:`Explain` shape."""
-        return Explain(
-            plan=self.plan or "interpreter",
-            fallback_reason=self.fallback_reason,
-            fallback_code=self.fallback_code,
-            compile_seconds=self.compile_seconds,
-            execute_seconds=self.elapsed_seconds,
-            cache_hit=self.cache_hit,
-            reencodes_full=self.reencodes_full,
-            reencodes_subtree=self.reencodes_subtree,
-            gap_respreads=self.gap_respreads,
-            index_patches=self.index_patches,
-            net_retries=self.net_retries,
-            net_giveups=self.net_giveups,
-            net_breaker_opens=self.net_breaker_opens,
-            net_breaker_fast_fails=self.net_breaker_fast_fails,
-            net_deadline_expired=self.net_deadline_expired,
-            net_degraded_peers=self.net_degraded_peers,
-        )
+        return self.telemetry
 
 
 @dataclass
@@ -320,105 +292,89 @@ class XRPCPeer:
         elif option_timeout is not None:
             deadline = Deadline.after(float(option_timeout), self.clock)
 
-        from repro.xdm.structural import ENCODING_STATS
-
         events = NetEvents()
         session = ClientSession(self.channel, origin=self.host,
                                 query_id=query_id, deadline=deadline,
                                 events=events)
         started = self.clock.now()
-        encoding_before = ENCODING_STATS.snapshot_local()
 
         use_bulk = self.engine.bulk_rpc and not force_one_at_a_time
         context = self._make_execution_context(session, variables,
                                                try_lifted=use_bulk
                                                and try_lifted)
+        # The prepare-time static analysis, as Engine.execute reports
+        # it; its site profile covers the whole locally-evaluated tree
+        # (query body plus locally-called function bodies).
+        analysis = self.engine.analyze(compiled, context)
 
-        plan = "interpreter"
-        fallback_reason = None
-        fallback_code = None
-        result: list = []
-        pul = PendingUpdateList()
-        if context.try_lifted:
-            # Route from the prepare-time static analysis: the site
-            # profile covers the whole locally-evaluated tree (query
-            # body plus locally-called function bodies), not just the
-            # body's own execute-at occurrences.
-            profile = self.engine.analyze(compiled, context).sites
-            sites, has_updating = profile.count, profile.updating_remote
-            if sites > 1:
-                fallback_reason = (
-                    f"ExecuteAt: {sites} call sites group better through "
-                    "the batching executor")
-                fallback_code = "execute-at-routing"
-            elif has_updating:
-                fallback_reason = (
-                    "ExecuteAt: updating remote calls route through the "
-                    "batching executor (no speculative shipping)")
-                fallback_code = "execute-at-routing"
-            else:
-                lifted, fallback_reason, fallback_code = \
-                    self.engine.attempt_lifted(source, compiled, context)
-                if fallback_reason is None:
-                    result = lifted
-                    plan = "lifted"
-        if plan != "lifted":
-            if use_bulk:
-                result, pul = self._execute_bulk(
-                    compiled, session, context,
-                    on_peer_failure=on_peer_failure)
-            else:
-                result, pul = self._execute_direct(compiled, session, context)
-        self.engine.record_plan(plan, fallback_reason, fallback_code)
+        with tally() as counts:
+            plan = "interpreter"
+            fallback_reason = None
+            fallback_code = None
+            result: list = []
+            pul = PendingUpdateList()
+            if context.try_lifted:
+                sites = analysis.sites.count
+                if sites > 1:
+                    fallback_reason = (
+                        f"ExecuteAt: {sites} call sites group better "
+                        "through the batching executor")
+                    fallback_code = "execute-at-routing"
+                elif analysis.sites.updating_remote:
+                    fallback_reason = (
+                        "ExecuteAt: updating remote calls route through "
+                        "the batching executor (no speculative shipping)")
+                    fallback_code = "execute-at-routing"
+                else:
+                    lifted, fallback_reason, fallback_code = \
+                        self.engine.attempt_lifted(source, compiled, context)
+                    if fallback_reason is None:
+                        result = lifted
+                        plan = "lifted"
+            if plan != "lifted":
+                if use_bulk:
+                    result, pul = self._execute_bulk(
+                        compiled, session, context,
+                        on_peer_failure=on_peer_failure)
+                else:
+                    result, pul = self._execute_direct(compiled, session,
+                                                       context)
+            self.engine.record_plan(plan, fallback_reason, fallback_code)
 
-        committed = False
-        if query_id is not None and session.participants:
-            # The originating peer plays the WS-Coordinator role
-            # (section 2.3): it knows every participant from the
-            # response piggybacks.  2PC never degrades.
-            coordinator = TransactionCoordinator(session)
-            for participant in session.participants:
-                coordinator.register(participant)
-            outcome = coordinator.run()
-            if not outcome.committed:
-                raise TransactionError(outcome.detail)
-            committed = True
-        if pul:
-            apply_updates(pul)
-            for uri in pul.document_uris():
-                if self.store.contains(uri):
-                    self.store.bump_version(uri)
-        encoding_after = ENCODING_STATS.snapshot_local()
+            committed = False
+            if query_id is not None and session.participants:
+                # The originating peer plays the WS-Coordinator role
+                # (section 2.3): it knows every participant from the
+                # response piggybacks.  2PC never degrades.
+                coordinator = TransactionCoordinator(session)
+                for participant in session.participants:
+                    coordinator.register(participant)
+                outcome = coordinator.run()
+                if not outcome.committed:
+                    raise TransactionError(outcome.detail)
+                committed = True
+            if pul:
+                apply_updates(pul)
+                for uri in pul.document_uris():
+                    if self.store.contains(uri):
+                        self.store.bump_version(uri)
 
+        elapsed = self.clock.now() - started
         return QueryResult(
             sequence=result,
-            elapsed_seconds=self.clock.now() - started,
+            elapsed_seconds=elapsed,
             messages_sent=session.messages_sent,
             calls_shipped=session.calls_shipped,
+            telemetry=Explain(
+                plan=plan, fallback_reason=fallback_reason,
+                compile_seconds=compile_seconds, execute_seconds=elapsed,
+                cache_hit=cache_hit, fallback_code=fallback_code,
+                counters=counts, analysis=analysis),
             participants=list(session.participants),
             used_bulk_rpc=use_bulk,
             committed_2pc=committed,
-            plan=plan,
-            fallback_reason=fallback_reason,
-            fallback_code=fallback_code,
-            compile_seconds=compile_seconds,
-            cache_hit=cache_hit,
-            reencodes_full=encoding_after["reencodes_full"]
-            - encoding_before["reencodes_full"],
-            reencodes_subtree=encoding_after["reencodes_subtree"]
-            - encoding_before["reencodes_subtree"],
-            gap_respreads=encoding_after["gap_respreads"]
-            - encoding_before["gap_respreads"],
-            index_patches=encoding_after["index_patches"]
-            - encoding_before["index_patches"],
             degraded=bool(events.failed_peers),
             failed_peers=list(events.failed_peers),
-            net_retries=events.get("retries"),
-            net_giveups=events.get("retry_giveups"),
-            net_breaker_opens=events.get("breaker_opens"),
-            net_breaker_fast_fails=events.get("breaker_fast_fails"),
-            net_deadline_expired=events.get("deadline_expired"),
-            net_degraded_peers=events.get("degraded_peers"),
         )
 
     def keyword_search(self, terms, peers: Optional[list[str]] = None,
@@ -542,7 +498,6 @@ class XRPCPeer:
             return
         events.degraded_counted.add(key)
         events.peer_failed(key)
-        events.note("degraded_peers")
         NET_STATS.bump("degraded_peers")
 
     def _execute_bulk(self, compiled: CompiledQuery, session: ClientSession,

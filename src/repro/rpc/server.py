@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.peer import XRPCPeer
 
 
+def _describe(exc: Exception) -> str:
+    """Fault reason for an unexpected exception: its type and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 class XRPCServer:
     """Request handler bound to one peer.
 
@@ -69,6 +74,8 @@ class XRPCServer:
             message = parse_message(payload)
         except XRPCReproError as exc:
             return build_fault("env:Sender", str(exc))
+        except Exception as exc:
+            return build_fault("env:Receiver", _describe(exc))
         # Echo the attempt's correlation id on every reply — including
         # faults — so a retrying client can tell this answer from a
         # stale duplicated one.
@@ -88,6 +95,11 @@ class XRPCServer:
             return build_fault("env:Sender", str(exc), exchange_id)
         except XRPCReproError as exc:
             return build_fault("env:Receiver", str(exc), exchange_id)
+        except Exception as exc:
+            # A failure of this peer itself (a remote function recursing
+            # past the interpreter's limit, a bug) still answers with a
+            # SOAP fault, whatever the transport.
+            return build_fault("env:Receiver", _describe(exc), exchange_id)
         if cost is not None:
             self.peer.clock.advance(
                 len(response.encode("utf-8")) * cost.serialize_seconds_per_byte)

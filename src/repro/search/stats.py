@@ -1,9 +1,4 @@
-"""Keyword-search telemetry counters.
-
-Same contract as :class:`~repro.xdm.structural.EncodingStats` (the
-class is reused wholesale): process-wide totals for
-``Database.stats()`` plus per-thread totals so ``Engine.execute`` can
-attribute per-execution deltas under concurrency.
+"""Keyword-search telemetry counters (see :mod:`repro.obs`).
 
 ``term_index_builds`` — full :class:`~repro.search.index.TermIndex`
 (re)builds (the satellite assertion "postings survive interleaved PULs
@@ -17,15 +12,7 @@ served (lifted ``contains`` filters + ``Database.search`` calls);
 
 from __future__ import annotations
 
-from repro.xdm.structural import EncodingStats
+from repro.obs import Counters
 
-
-class SearchStats(EncodingStats):
-    """Counter fields of the keyword-search subsystem."""
-
-    FIELDS = ("term_index_builds", "postings_built", "postings_patched",
-              "search_queries", "postings_hits")
-
-
-#: The process-wide counter instance (searches may run from any thread).
-SEARCH_STATS = SearchStats()
+SEARCH_STATS = Counters("term_index_builds", "postings_built",
+                        "postings_patched", "search_queries", "postings_hits")

@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
 from repro.engine import Engine
 from repro.engine.base import Explain
+from repro.obs import totals
 from repro.rpc.store import DocumentStore
 from repro.xdm.atomic import (
     AtomicValue,
@@ -89,16 +91,21 @@ def to_sequence(value: Any) -> list:
 class DatabaseStats:
     """Counters of one :class:`Database` (and its engine's caches).
 
-    The ``reencodes_*`` / ``gap_respreads`` / ``index_patches`` /
-    ``index_builds`` fields report the *process-wide*
-    :data:`~repro.xdm.structural.ENCODING_STATS` totals — what the
-    update path has been doing: ``reencodes_subtree`` counts O(change)
-    splices, ``reencodes_full`` the whole-tree fallbacks, and
-    ``index_patches`` in-place :class:`StructuralIndex` maintenance
-    (versus ``index_builds`` full rebuilds).  ``fallback_reasons`` is
-    the engine's per-reason histogram: stable
+    ``fallback_reasons`` is the engine's per-reason histogram: stable
     :class:`~repro.pathfinder.compiler.UnsupportedExpression` code ->
-    count of lifted attempts that bailed with it.
+    count of lifted attempts that bailed with it.  ``counters`` holds
+    the *process-wide* telemetry totals of every group in
+    :mod:`repro.obs`, by field name (a missing name reads 0): the update
+    path (``reencodes_subtree`` counts O(change) splices,
+    ``reencodes_full`` the whole-tree fallbacks, ``index_patches``
+    in-place :class:`~repro.xdm.structural.StructuralIndex` maintenance
+    versus ``index_builds`` full rebuilds), the parse frontend
+    (``documents_*`` / ``bytes_*`` per parser and
+    ``fallbacks_to_python``), keyword search (``term_index_builds``
+    versus ``postings_patched``, ``search_queries`` and
+    ``postings_hits``) and fault tolerance (``exchanges``, ``retries``,
+    ``retry_giveups``, breaker transitions, deadline expiries,
+    ``degraded_peers`` and ``faults_injected``).
     """
 
     plan_cache_hits: int
@@ -110,47 +117,8 @@ class DatabaseStats:
     lifted_executions: int
     interpreter_executions: int
     documents: int
-    reencodes_full: int = 0
-    reencodes_subtree: int = 0
-    gap_respreads: int = 0
-    index_patches: int = 0
-    index_builds: int = 0
     fallback_reasons: dict = field(default_factory=dict)
-    #: Parse-frontend telemetry (process-wide
-    #: :data:`~repro.xml.stats.PARSE_STATS` totals): which parser
-    #: parsed how many documents/bytes, and how often expat rejected
-    #: input that the pure-python fallback parser then took.
-    parse_documents_expat: int = 0
-    parse_documents_python: int = 0
-    parse_bytes_expat: int = 0
-    parse_bytes_python: int = 0
-    parse_fallbacks: int = 0
-    #: Keyword-search telemetry (process-wide
-    #: :data:`~repro.search.stats.SEARCH_STATS` totals):
-    #: ``term_index_builds`` full :class:`~repro.search.index.TermIndex`
-    #: materializations versus ``postings_patched`` incremental PUL-hook
-    #: maintenance; ``postings_built`` postings written by full builds;
-    #: ``search_queries`` posting-list plans served (lifted ``contains``
-    #: prefilters and :meth:`Database.search` calls) and
-    #: ``postings_hits`` the results they surfaced.
-    term_index_builds: int = 0
-    postings_built: int = 0
-    postings_patched: int = 0
-    search_queries: int = 0
-    postings_hits: int = 0
-    #: Fault-tolerance telemetry (process-wide
-    #: :data:`~repro.net.retry.NET_STATS` totals): transport attempts,
-    #: retries and give-ups, circuit-breaker transitions and fast-fails,
-    #: deadline expiries, peers skipped by the partial-results policy,
-    #: and faults the chaos harness injected.
-    net_exchanges: int = 0
-    net_retries: int = 0
-    net_retry_giveups: int = 0
-    net_breaker_opens: int = 0
-    net_breaker_fast_fails: int = 0
-    net_deadline_expired: int = 0
-    net_degraded_peers: int = 0
-    net_faults_injected: int = 0
+    counters: Counter[str] = field(default_factory=Counter)
 
 
 class PreparedQuery:
@@ -385,16 +353,7 @@ class Database:
         return hits
 
     def stats(self) -> DatabaseStats:
-        from repro.net.retry import NET_STATS
-        from repro.search.stats import SEARCH_STATS
-        from repro.xdm.structural import ENCODING_STATS
-        from repro.xml.stats import PARSE_STATS
-
         cache = self.engine.cache_stats()
-        encoding = ENCODING_STATS.snapshot()
-        parse = PARSE_STATS.snapshot()
-        search = SEARCH_STATS.snapshot()
-        net = NET_STATS.snapshot()
         with self._stats_lock:
             return DatabaseStats(
                 plan_cache_hits=cache["plan_cache_hits"],
@@ -406,30 +365,8 @@ class Database:
                 lifted_executions=self.lifted_executions,
                 interpreter_executions=self.interpreter_executions,
                 documents=sum(1 for _ in self.store.uris()),
-                reencodes_full=encoding["reencodes_full"],
-                reencodes_subtree=encoding["reencodes_subtree"],
-                gap_respreads=encoding["gap_respreads"],
-                index_patches=encoding["index_patches"],
-                index_builds=encoding["index_builds"],
                 fallback_reasons=self.engine.fallback_stats(),
-                parse_documents_expat=parse["documents_expat"],
-                parse_documents_python=parse["documents_python"],
-                parse_bytes_expat=parse["bytes_expat"],
-                parse_bytes_python=parse["bytes_python"],
-                parse_fallbacks=parse["fallbacks_to_python"],
-                term_index_builds=search["term_index_builds"],
-                postings_built=search["postings_built"],
-                postings_patched=search["postings_patched"],
-                search_queries=search["search_queries"],
-                postings_hits=search["postings_hits"],
-                net_exchanges=net["exchanges"],
-                net_retries=net["retries"],
-                net_retry_giveups=net["retry_giveups"],
-                net_breaker_opens=net["breaker_opens"],
-                net_breaker_fast_fails=net["breaker_fast_fails"],
-                net_deadline_expired=net["deadline_expired"],
-                net_degraded_peers=net["degraded_peers"],
-                net_faults_injected=net["faults_injected"],
+                counters=totals(),
             )
 
     # -- internals ---------------------------------------------------------

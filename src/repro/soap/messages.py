@@ -310,7 +310,7 @@ def _parse_header(envelope: ElementNode
         exchange_id = _required_attr(exchange, "id")
     deadline = header.find("deadline", XRPC_NS)
     if deadline is not None:
-        deadline_remaining = float(_required_attr(deadline, "remaining"))
+        deadline_remaining = _number_attr(deadline, "remaining", float)
     return exchange_id, deadline_remaining
 
 
@@ -327,8 +327,8 @@ def _parse_body_element(payload: ElementNode) -> Message:
             kind=payload.local_name,
             query_id=QueryID(
                 host=_required_attr(payload, "host"),
-                timestamp=float(_required_attr(payload, "timestamp")),
-                timeout=int(_required_attr(payload, "timeout")),
+                timestamp=_number_attr(payload, "timestamp", float),
+                timeout=_number_attr(payload, "timeout", int),
             ),
         )
     if payload.ns_uri == XRPC_NS and payload.local_name == "txn-result":
@@ -368,10 +368,23 @@ def _required_attr(element: ElementNode, name: str) -> str:
     return attribute.value
 
 
+def _number_attr(element: ElementNode, name: str, convert):
+    """A required numeric attribute; a malformed one is the sender's
+    fault, like a missing one."""
+    text = _required_attr(element, name)
+    try:
+        return convert(text)
+    except ValueError:
+        raise XRPCFault(
+            "env:Sender",
+            f"<{element.name}> attribute {name!r} is not a number: "
+            f"{text!r}") from None
+
+
 def _parse_request_element(element: ElementNode) -> XRPCRequest:
     module = _required_attr(element, "module")
     method = _required_attr(element, "method")
-    arity = int(_required_attr(element, "arity"))
+    arity = _number_attr(element, "arity", int)
     location_attr = element.get_attribute("location")
     updating_attr = element.get_attribute("updCall")
     request = XRPCRequest(
@@ -385,8 +398,8 @@ def _parse_request_element(element: ElementNode) -> XRPCRequest:
     if qid is not None:
         request.query_id = QueryID(
             host=_required_attr(qid, "host"),
-            timestamp=float(_required_attr(qid, "timestamp")),
-            timeout=int(_required_attr(qid, "timeout")),
+            timestamp=_number_attr(qid, "timestamp", float),
+            timeout=_number_attr(qid, "timeout", int),
         )
     for call in element.find_all("call", XRPC_NS):
         params = [n2s(seq) for seq in call.find_all("sequence", XRPC_NS)]

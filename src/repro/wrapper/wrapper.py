@@ -106,6 +106,11 @@ class XRPCWrapper:
             response = self._serve(payload, timings)
         except XRPCReproError as exc:
             return build_fault("env:Sender", str(exc))
+        except Exception as exc:
+            # The wrapped engine failed (a function recursing past the
+            # interpreter's limit, a bug): still a SOAP reply.
+            return build_fault("env:Receiver",
+                               f"{type(exc).__name__}: {exc}")
         timings.total_seconds = time.process_time() - started
         self.last_timings = timings
         self.accumulated.accumulate(timings)

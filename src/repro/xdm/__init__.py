@@ -26,7 +26,6 @@ from repro.xdm.nodes import (
 from repro.xdm.nodes import KEY_STRIDE
 from repro.xdm.structural import (
     ENCODING_STATS,
-    EncodingStats,
     StructuralIndex,
     invalidate_structural_index,
     reencode_spliced_attributes,
@@ -69,7 +68,6 @@ __all__ = [
     "copy_tree",
     "KEY_STRIDE",
     "ENCODING_STATS",
-    "EncodingStats",
     "StructuralIndex",
     "structural_index",
     "invalidate_structural_index",

@@ -8,12 +8,12 @@ back to markup.
 """
 
 from repro.xml.parser import (
+    PARSE_STATS,
     XMLSyntaxError,
     parse_document,
     parse_fragment,
 )
 from repro.xml.serializer import serialize, escape_text, escape_attribute
-from repro.xml.stats import PARSE_STATS
 
 __all__ = [
     "PARSE_STATS",

@@ -30,8 +30,16 @@ import re
 from typing import Optional, Union
 
 from repro.errors import XRPCReproError
+from repro.obs import Counters
 from repro.xdm.nodes import DocumentNode, ElementNode, Node, NodeFactory
-from repro.xml.stats import PARSE_STATS
+
+#: Parse-frontend telemetry: how many documents (and bytes or
+#: characters) each parser parsed, and how often the expat frontend fell
+#: back to the python parser (malformed input re-diagnosed for uniform
+#: messages, or constructs outside the expat subset such as
+#: internal-subset markup declarations).
+PARSE_STATS = Counters("documents_expat", "documents_python", "bytes_expat",
+                       "bytes_python", "fallbacks_to_python")
 
 
 class XMLSyntaxError(XRPCReproError):
@@ -449,10 +457,12 @@ def parse_document(text: Union[str, bytes],
     except Exception:
         PARSE_STATS.bump("fallbacks_to_python")
     else:
-        PARSE_STATS.count_parse("expat", len(text))
+        PARSE_STATS.bump("documents_expat")
+        PARSE_STATS.bump("bytes_expat", len(text))
         return document
     document = parse_document_python(text, uri=uri)
-    PARSE_STATS.count_parse("python", len(text))
+    PARSE_STATS.bump("documents_python")
+    PARSE_STATS.bump("bytes_python", len(text))
     return document
 
 

@@ -313,8 +313,8 @@ class TestPeerRouting:
             import module namespace f = "films" at "{FILM_LOCATION}";
             execute at {{"xrpc://y"}} {{ f:logVisit("A") }}
         """)
-        assert result.fallback_reason is not None
-        assert "no speculative shipping" in result.fallback_reason
+        assert result.explain().fallback_reason is not None
+        assert "no speculative shipping" in result.explain().fallback_reason
         assert len(server.store.get("log.xml").root_element.children) == 1
 
     def test_updating_call_inside_local_function_still_caught(self):
@@ -328,8 +328,8 @@ class TestPeerRouting:
                 execute at {{"xrpc://y"}} {{ f:logVisit($a) }} }};
             local:log("A")
         """)
-        assert result.fallback_reason is not None
-        assert "no speculative shipping" in result.fallback_reason
+        assert result.explain().fallback_reason is not None
+        assert "no speculative shipping" in result.explain().fallback_reason
         assert len(server.store.get("log.xml").root_element.children) == 1
 
     def test_read_only_remote_results_unchanged(self):

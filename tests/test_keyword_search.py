@@ -89,7 +89,7 @@ def test_keyword_suite_runs_lifted(resolver, name, accelerator):
     assert explain.plan == "lifted", (name, explain.fallback_reason)
     assert explain.fallback_reason is None
     assert engine.fallback_stats() == {}
-    assert explain.search_queries > 0
+    assert explain.counters["search_queries"] > 0
     interpreted = interpret(query, doc_resolver=resolver,
                             accelerator=accelerator)
     assert len(result) == len(interpreted)
@@ -412,15 +412,15 @@ class TestDatabaseSearch:
         explain = db.explain(
             "doc('p.xml')//person[contains(., 'worldwide')]")
         assert explain.plan == "lifted"
-        assert explain.search_queries == 1
-        assert explain.postings_built > 0  # this execution built postings
-        assert explain.postings_hits > 0
+        assert explain.counters["search_queries"] == 1
+        assert explain.counters["postings_built"] > 0  # this execution built postings
+        assert explain.counters["postings_hits"] > 0
         assert "search:" in explain.render()
         stats = db.stats()
-        assert stats.term_index_builds > 0
-        assert stats.postings_built > 0
-        assert stats.search_queries > 0
-        assert stats.postings_hits > 0
+        assert stats.counters["term_index_builds"] > 0
+        assert stats.counters["postings_built"] > 0
+        assert stats.counters["search_queries"] > 0
+        assert stats.counters["postings_hits"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,27 @@ class TestMessageEdgeCases:
         with pytest.raises(XRPCFault):
             parse_request(text)
 
+    @pytest.mark.parametrize("good,bad", [
+        ('arity="1"', 'arity="one"'),
+        ('timestamp="1.5"', 'timestamp="noon"'),
+        ('timeout="30"', 'timeout="soon"'),
+        ('remaining="2.5"', 'remaining="later"'),
+    ])
+    def test_non_numeric_attribute_is_a_sender_fault(self, good, bad):
+        request = _one_call_request()
+        request.query_id = QueryID(host="h", timestamp=1.5, timeout=30)
+        request.exchange_id = "e-1"
+        request.deadline_remaining = 2.5
+        text = build_request(request)
+        assert good in text
+        with pytest.raises(XRPCFault) as info:
+            parse_request(text.replace(good, bad))
+        assert info.value.fault_code == "env:Sender"
+        # The server answers it with a SOAP fault, not an exception.
+        peer = XRPCPeer("y", SimulatedNetwork())
+        reply = parse_message(peer.server.handle(text.replace(good, bad)))
+        assert reply.fault_code == "env:Sender"
+
     def test_parse_request_rejects_response(self):
         response = build_response(XRPCResponse(module="m", method="f"))
         with pytest.raises(XRPCFault):

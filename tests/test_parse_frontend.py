@@ -43,6 +43,7 @@ from repro.xdm.nodes import (
 )
 from repro.xml.expat_parser import ExpatUnsupported, parse_document_expat
 from repro.xml.parser import (
+    PARSE_STATS,
     XMLSyntaxError,
     decode_xml_bytes,
     parse_document,
@@ -50,7 +51,6 @@ from repro.xml.parser import (
     parse_fragment,
 )
 from repro.xml.serializer import escape_attribute, escape_text, serialize
-from repro.xml.stats import PARSE_STATS
 
 
 def rows(document):
@@ -276,24 +276,27 @@ class TestTelemetry:
         before = db.stats()
         db.register("d.xml", "<r><a/></r>")
         after = db.stats()
-        assert after.parse_documents_expat == before.parse_documents_expat + 1
-        assert after.parse_bytes_expat > before.parse_bytes_expat
+        assert after.counters["documents_expat"] \
+            == before.counters["documents_expat"] + 1
+        assert after.counters["bytes_expat"] > before.counters["bytes_expat"]
 
     def test_database_counts_python_fallback(self):
         db = Database()
         before = db.stats()
         db.register("d.xml", '<!DOCTYPE r [<!ATTLIST r a CDATA "d">]><r/>')
         after = db.stats()
-        assert after.parse_documents_python \
-            == before.parse_documents_python + 1
-        assert after.parse_fallbacks == before.parse_fallbacks + 1
+        assert after.counters["documents_python"] \
+            == before.counters["documents_python"] + 1
+        assert after.counters["fallbacks_to_python"] \
+            == before.counters["fallbacks_to_python"] + 1
 
     def test_explain_reports_no_parse_work_for_warm_doc(self):
         db = Database()
         db.register("d.xml", "<r><a>1</a></r>")
         explain = db.explain("doc('d.xml')//a")
-        assert explain.documents_parsed == 0
-        assert explain.parse_fallbacks == 0
+        assert explain.counters["documents_expat"] == 0
+        assert explain.counters["documents_python"] == 0
+        assert explain.counters["fallbacks_to_python"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -315,17 +315,18 @@ class TestPeerUnifiedPipeline:
         query = "doc('auctions.xml')//closed_auction/buyer/@person"
         lifted = peer.execute_query(query)
         pinned = peer.execute_query(query, try_lifted=False)
-        assert pinned.plan == "interpreter"
+        assert pinned.explain().plan == "interpreter"
         assert serialize_sequence(lifted.sequence) == \
             serialize_sequence(pinned.sequence)
 
     def test_engine_telemetry_mirrors_query_result(self, peer):
         result = peer.execute_query("doc('persons.xml')//person")
-        assert result.plan == "lifted"
+        assert result.explain().plan == "lifted"
         assert peer.engine.fallback_stats() == {}
         result = peer.execute_query("count(doc('persons.xml')//person)")
-        assert result.plan == "interpreter"
-        assert peer.engine.fallback_stats() == {result.fallback_code: 1}
+        assert result.explain().plan == "interpreter"
+        assert peer.engine.fallback_stats() == {
+            result.explain().fallback_code: 1}
 
     def test_explain_is_session_api_shape(self, peer):
         explain = peer.execute_query("doc('persons.xml')//person").explain()
@@ -372,8 +373,8 @@ class TestNoSpeculativeUpdateShipping:
         result = origin.execute_query(query, variables={"n": [integer(1)]})
         hits = server.store.get("log.xml").root_element.children
         assert len(hits) == 1, "updating call must apply exactly once"
-        assert result.plan == "interpreter"
-        assert "updating" in result.fallback_reason
+        assert result.explain().plan == "interpreter"
+        assert "updating" in result.explain().fallback_reason
 
     def test_read_only_single_site_still_lifts(self, site):
         origin, server = site
@@ -389,5 +390,5 @@ class TestNoSpeculativeUpdateShipping:
         import module namespace r = "urn:reader" at "reader.xq";
         execute at {"xrpc://y"} { r:size() }
         """)
-        assert result.plan == "lifted"
+        assert result.explain().plan == "lifted"
         assert result.sequence[0].value == 0

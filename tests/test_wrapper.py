@@ -121,6 +121,23 @@ class TestWrapperService:
         with pytest.raises(XRPCFault):
             parse_response(raw)
 
+    def test_engine_failure_returns_receiver_fault(self, wrapper):
+        # A wrapped function recursing past the interpreter's stack
+        # limit: the handler still answers with a SOAP fault.
+        module = """
+        module namespace r = "rec";
+        declare function r:down($n as xs:integer) as xs:integer
+        { if ($n = 0) then 0 else r:down($n - 1) };
+        """
+        wrapper.engine.registry.register_source(module, location="rec.xq")
+        request = XRPCRequest(module="rec", method="down", arity=1,
+                              location="rec.xq")
+        request.add_call([[integer(3000)]])
+        with pytest.raises(XRPCFault) as info:
+            parse_response(wrapper.handle(build_request(request)))
+        assert info.value.fault_code == "env:Receiver"
+        assert "RecursionError" in info.value.reason
+
     def test_call_by_value_inside_wrapper(self, wrapper):
         # The wrapped engine receives fresh fragments: a node param's
         # parent axis must be empty inside the user function.
